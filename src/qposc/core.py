@@ -6,10 +6,12 @@ The model is the (q, p)-deformed ladder algebra
 
 realized on the number basis through the deformed integers ("brackets")
 
-    [[x]] = (q^x - p^x) / (q - p),
+    [[x]] = (q^x - p^x) / (q - p).
 
-which for a non-negative integer k reduce to the symmetric homogeneous
-polynomial  [[k]] = sum_{r=0}^{k-1} q^(k-1-r) p^r.  The Hamiltonian
+For an integer k >= 0 this is the polynomial sum_{r<k} q^(k-1-r) p^r,
+evaluated by the recurrence [[k+1]] = q [[k]] + p^k, forward-stable since
+all its terms are non-negative, and run with q >= p so that integer brackets
+are bitwise symmetric in (q, p).  The Hamiltonian
 H = (A A+ + A+ A) / 2 then has the spectrum E_n = ([[n+1]] + [[n]]) / 2,
 with E_0 = 1/2 for every admissible (q, p) and E_n = n + 1/2 at q = p = 1.
 
@@ -19,6 +21,7 @@ be shared freely between threads.
 
 import math
 from dataclasses import dataclass
+from itertools import islice, pairwise
 
 import numpy as np
 
@@ -48,20 +51,19 @@ class DeformationPoint:
             raise DomainError("the corner (0, 0) is excluded from the parameter domain")
 
 
-def _pows(x, n):
-    """[x^0, x^1, ..., x^n] by repeated multiplication (x^0 == 1 even at x = 0)."""
-    out = [1.0] * (n + 1)
-    for j in range(1, n + 1):
-        out[j] = out[j - 1] * x
-    return out
+def _bracket_iter(q, p):
+    """Yield [[0]], [[1]], ... by the recurrence, run with q >= p (p^0 == 1)."""
+    if q < p:
+        q, p = p, q
+    bracket, p_pow = 0.0, 1.0
+    while True:
+        yield bracket
+        bracket, p_pow = q * bracket + p_pow, p_pow * p
 
 
-def _bracket_sum(k, q, p):
-    """[[k]] as the homogeneous polynomial sum; zero for k == 0."""
-    if k == 0:
-        return 0.0
-    qp, pp = _pows(q, k - 1), _pows(p, k - 1)
-    return math.fsum(qp[k - 1 - r] * pp[r] for r in range(k))
+def _brackets(n, q, p):
+    """[[[0]], [[1]], ..., [[n]]]: every integer bracket is read from here."""
+    return list(islice(_bracket_iter(q, p), n + 1))
 
 
 def _check_level(n):
@@ -72,27 +74,24 @@ def _check_level(n):
 
 
 def qp_bracket_int(k, point):
-    """The bracket [[k]] for an integer k >= 0 at the given point.
-
-    Evaluated as the polynomial sum, which stays exact at q == p and on the
-    axes (the x^0 factors are taken as 1 so that [[1]] == 1 everywhere).
-    """
+    """The bracket [[k]] for an integer k >= 0, by [[k+1]] = q [[k]] + p^k;
+    no special case at q == p or on the axes, where p^0 == 1 gives [[1]] == 1."""
     _check_level(k)
-    return _bracket_sum(k, point.q, point.p)
+    return _brackets(k, point.q, point.p)[-1]
 
 
 def qp_bracket(x, point):
     """The bracket [[x]] for real x.
 
-    Non-negative integer x always goes through the polynomial sum; otherwise
-    the defining ratio (q^x - p^x)/(q - p) is used, replaced by its limit
-    x * q^(x-1) when |q - p| < EPS_EQUAL.
+    Non-negative integer x always goes through the recurrence of
+    qp_bracket_int; otherwise the defining ratio (q^x - p^x)/(q - p) is
+    used, replaced by its limit x * q^(x-1) when |q - p| < EPS_EQUAL.
     """
     x = float(x)
     if not math.isfinite(x):
         raise DomainError(f"bracket argument must be finite, got {x}")
     if x.is_integer() and x >= 0:
-        return _bracket_sum(int(x), point.q, point.p)
+        return _brackets(int(x), point.q, point.p)[-1]
     q, p = point.q, point.p
     if q == 0.0 or p == 0.0:
         raise DomainError(f"[[{x}]] is undefined on the axes (power of zero)")
@@ -103,38 +102,26 @@ def qp_bracket(x, point):
 
 def energy_level(n, point):
     """E_n = ([[n+1]] + [[n]]) / 2 for the deformed oscillator."""
-    _check_level(n)
-    q, p = point.q, point.p
-    return 0.5 * (_bracket_sum(n + 1, q, p) + _bracket_sum(n, q, p))
+    return energy_spectrum(n, point)[n]
 
 
 def energy_spectrum(n_max, point):
-    """[E_0, ..., E_n_max], element-wise equal to energy_level calls."""
+    """[E_0, ..., E_n_max] in O(n_max): the first values of energy_iter."""
     _check_level(n_max)
-    return [energy_level(n, point) for n in range(n_max + 1)]
+    return list(islice(energy_iter(point), n_max + 1))
 
 
 def energy_iter(point):
-    """Yield E_0, E_1, ... in O(1) per step via [[n+1]] = q [[n]] + p^n.
-
-    This is the fast scanning path for long spectra (peak searches); values
-    may differ from energy_level by a few ulp at large n.
-    """
-    q, p = point.q, point.p
-    bracket = 0.0  # [[n]]
-    p_pow = 1.0    # p^n
-    while True:
-        nxt = q * bracket + p_pow
-        yield 0.5 * (nxt + bracket)
-        bracket = nxt
-        p_pow *= p
+    """Iterate E_0, E_1, ... in O(1) per step (the path of peak searches)."""
+    return (0.5 * (upper + lower)
+            for lower, upper in pairwise(_bracket_iter(point.q, point.p)))
 
 
 @dataclass(frozen=True)
 class FockRep:
     """Truncated number-basis matrices of the deformed ladder operators.
 
-    a_matrix annihilates (upper bidiagonal with entries sqrt([[n]])),
+    a_matrix annihilates (zero but for its superdiagonal sqrt([[1]]), ...),
     a_dagger_matrix is its transpose, n_matrix = diag(0, 1, ..., dim-1).
     """
 
@@ -152,23 +139,28 @@ def fock_rep(dim, point):
     """
     if not isinstance(dim, (int, np.integer)) or dim < 2:
         raise DomainError(f"representation dimension must be an integer >= 2, got {dim!r}")
-    a = np.zeros((dim, dim))
-    for n in range(1, dim):
-        a[n - 1, n] = math.sqrt(_bracket_sum(n, point.q, point.p))
+    a = np.diag(np.sqrt(_brackets(dim - 1, point.q, point.p)[1:]), 1)
     return FockRep(dim=dim, a_matrix=a, a_dagger_matrix=a.T.copy(),
                    n_matrix=np.diag(np.arange(dim, dtype=float)))
 
 
 def fock_residuals(rep, point):
     """Max entrywise residuals of the two ladder relations on the first
-    dim-1 columns: (A A+ - q A+ A - p^N, A A+ - p A+ A - q^N)."""
-    q, p = point.q, point.p
-    a, ad = rep.a_matrix, rep.a_dagger_matrix
-    aad = a @ ad
-    ada = ad @ a
-    p_n = np.diag(np.array([p ** n for n in range(rep.dim)]))
-    q_n = np.diag(np.array([q ** n for n in range(rep.dim)]))
-    cols = rep.dim - 1
-    r1 = np.abs(aad - q * ada - p_n)[:, :cols].max()
-    r2 = np.abs(aad - p * ada - q_n)[:, :cols].max()
+    dim-1 columns: (A A+ - q A+ A - p^N, A A+ - p A+ A - q^N).
+
+    Checks FockRep's structure first (DomainError counts the stray entries);
+    then both relations are diagonal and take O(dim) from the superdiagonal
+    s of A: A A+ = diag(s^2, 0), A+ A = diag(0, s^2).
+    """
+    a, q, p = rep.a_matrix, point.q, point.p
+    s = np.diag(a, 1)
+    stray = (np.count_nonzero(a) - np.count_nonzero(s)
+             + np.count_nonzero(rep.a_dagger_matrix != a.T))
+    if stray:
+        raise DomainError(f"{stray} stray entries: A must vanish off its "
+                          "superdiagonal and A+ must equal A^T")
+    aad, ada = s * s, np.append(0.0, s[:-1] * s[:-1])  # diagonals, first dim-1 columns
+    p_n, q_n = (np.array([x ** n for n in range(rep.dim - 1)]) for x in (p, q))
+    r1 = np.abs(aad - q * ada - p_n).max()
+    r2 = np.abs(aad - p * ada - q_n).max()
     return float(r1), float(r2)

@@ -16,12 +16,14 @@ continuous, monotonically decreasing implicit function p(q) whose slope is
 """
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import _bracket_sum, _pows
+from .core import _brackets
 from .errors import ConsistencyError, DomainError
 from .roots import bisect_bracket, grid_roots_from_values
 
@@ -57,6 +59,11 @@ class DegeneracyCondition:
         return GENERAL
 
 
+def _pows(x, n):
+    """[x^0, x^1, ..., x^n] by repeated multiplication (x^0 == 1 even at x = 0)."""
+    return list(accumulate(repeat(x, n), operator.mul, initial=1.0))
+
+
 def _ground_raw(m, q, p):
     qp, pp = _pows(q, m), _pows(p, m)
     terms = [pp[m - r] * qp[r] for r in range(m + 1)]
@@ -79,8 +86,9 @@ def _residual_raw(cond, q, p):
     if kind == NEIGHBOR:
         return _neighbor_raw(cond.m1, q, p)
     # general type: twice the energy gap, no hand-expanded polynomial
-    e1 = 0.5 * (_bracket_sum(cond.m1 + 1, q, p) + _bracket_sum(cond.m1, q, p))
-    e2 = 0.5 * (_bracket_sum(cond.m2 + 1, q, p) + _bracket_sum(cond.m2, q, p))
+    b = _brackets(cond.m2 + 1, q, p)
+    e1 = 0.5 * (b[cond.m1 + 1] + b[cond.m1])
+    e2 = 0.5 * (b[cond.m2 + 1] + b[cond.m2])
     return 2.0 * (e2 - e1)
 
 

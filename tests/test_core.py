@@ -1,13 +1,15 @@
 """Bracket, energy-level and Fock-representation checks."""
 
 import math
+from itertools import islice
 
+import mpmath
 import numpy as np
 import pytest
 
-from qposc import (DeformationPoint, DomainError, energy_iter, energy_level,
-                   energy_spectrum, fock_rep, fock_residuals, qp_bracket,
-                   qp_bracket_int)
+from qposc import (DeformationPoint, DomainError, FockRep, energy_iter,
+                   energy_level, energy_spectrum, fock_rep, fock_residuals,
+                   qp_bracket, qp_bracket_int)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -15,6 +17,27 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 def brute_bracket(k, q, p):
     # independent summation oracle for the integer bracket
     return math.fsum(q ** (k - 1 - r) * p ** r for r in range(k))
+
+
+def mp_spectrum(n_max, q, p):
+    # independent 50-digit reference: E_n from [[k+1]] = q [[k]] + p^k in mpmath
+    with mpmath.workdps(50):
+        q, p = mpmath.mpf(q), mpmath.mpf(p)
+        brackets, p_pow = [mpmath.mpf(0)], mpmath.mpf(1)
+        for _ in range(n_max + 1):
+            brackets.append(q * brackets[-1] + p_pow)
+            p_pow *= p
+        return [(brackets[n + 1] + brackets[n]) / 2 for n in range(n_max + 1)]
+
+
+def dense_residuals(rep, pt):
+    # the O(dim^3) matrix form of both ladder relations on the first dim-1 columns
+    a, ad, dim = rep.a_matrix, rep.a_dagger_matrix, rep.dim
+    p_n = np.diag(np.array([pt.p ** n for n in range(dim)]))
+    q_n = np.diag(np.array([pt.q ** n for n in range(dim)]))
+    r1 = np.abs(a @ ad - pt.q * (ad @ a) - p_n)[:, :dim - 1].max()
+    r2 = np.abs(a @ ad - pt.p * (ad @ a) - q_n)[:, :dim - 1].max()
+    return float(r1), float(r2)
 
 
 def random_points(rng, n):
@@ -140,10 +163,24 @@ class TestEnergies:
         assert energy_spectrum(3, pt) == [energy_level(n, pt) for n in range(4)]
 
     def test_iterator_agrees_with_levels(self):
-        pt = DeformationPoint(0.4, 0.8)
-        it = energy_iter(pt)
-        for n in range(60):
-            assert next(it) == pytest.approx(energy_level(n, pt), rel=1e-12, abs=1e-300)
+        for q, p in [(0.4, 0.8), (0.8, 0.4), (0.93, 0.97), (0.5, 0.5), (1.0, 0.3)]:
+            pt = DeformationPoint(q, p)
+            levels = [energy_level(n, pt) for n in range(400)]
+            assert list(islice(energy_iter(pt), 400)) == levels
+            assert energy_spectrum(399, pt) == levels
+
+    def test_spectrum_against_mpmath_oracle(self):
+        rng = np.random.default_rng(23)
+        cases = [(0.7, 0.7), (1.0, 0.6), (0.6, 1.0), (0.0, 0.8), (0.8, 0.0),
+                 (0.999999, 0.9999995)]
+        cases += [tuple(rng.uniform(0.0, 1.0, size=2)) for _ in range(4)]
+        for q, p in cases:
+            got = energy_spectrum(2000, DeformationPoint(q, p))
+            assert got == energy_spectrum(2000, DeformationPoint(p, q))
+            for n, (e, want) in enumerate(zip(got, mp_spectrum(2000, q, p))):
+                if abs(want) > 1e-300:
+                    err = abs(e - want) / abs(want)
+                    assert err <= 1e-13, f"({q}, {p}) n={n}: relative error {float(err):.2e}"
 
     def test_negative_level_rejected(self):
         with pytest.raises(DomainError):
@@ -193,3 +230,23 @@ class TestFock:
             rep = fock_rep(dim, pt)
             r1, r2 = fock_residuals(rep, pt)
             assert r1 < 1e-12 and r2 < 1e-12
+
+    def test_residuals_equal_dense_evaluation(self):
+        rng = np.random.default_rng(29)
+        pts = random_points(rng, 30) + [DeformationPoint(1.0, 1.0), DeformationPoint(0.0, 0.6)]
+        for pt in pts:
+            for dim in (2, 3, int(rng.integers(4, 65)), 64):
+                rep = fock_rep(dim, pt)
+                assert fock_residuals(rep, pt) == dense_residuals(rep, pt)
+
+    def test_stray_entry_rejected(self):
+        pt = DeformationPoint(0.6, 0.9)
+        rep = fock_rep(6, pt)
+        a = rep.a_matrix.copy()
+        a[3, 1] = 0.25  # off the superdiagonal; the transpose stays consistent
+        with pytest.raises(DomainError, match="^1 stray"):
+            fock_residuals(FockRep(6, a, a.T.copy(), rep.n_matrix), pt)
+        ad = rep.a_dagger_matrix.copy()
+        ad[2, 1] *= 2.0  # A+ no longer the transpose of A
+        with pytest.raises(DomainError, match="^1 stray"):
+            fock_residuals(FockRep(6, rep.a_matrix, ad, rep.n_matrix), pt)
