@@ -7,5 +7,5 @@ class DomainError(ValueError):
 
 class ConsistencyError(RuntimeError):
     """Raised when a solver detects a state that contradicts the model's
-    structural guarantees (e.g. more than one root where uniqueness is
-    expected)."""
+    structural guarantees (e.g. a curve sample whose residual is not near
+    zero); the message names the measured quantity and its limit."""

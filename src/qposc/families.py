@@ -15,16 +15,13 @@ plus arbitrary user maps via CustomFamily.
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .core import DeformationPoint, energy_level
-from .degeneracy import _residual_grid, _residual_raw
-from .errors import ConsistencyError, DomainError
-from .roots import bisect_bracket, grid_roots_from_values
+from .degeneracy import _residual_raw
+from .errors import DomainError
+from .roots import bisect_bracket
 
-# grid sizes fixed by the admissibility / non-admission contracts
+# grid size fixed by the admissibility contract
 _VALIDATE_GRID = 10_000
-_SOLVE_GRID = 10_001
 _BOUNDS_SLACK = 1e-12
 
 
@@ -171,44 +168,34 @@ def validate_family(fam, grid_points=_VALIDATE_GRID):
     return report
 
 
-def solve_degeneracy_on_family(fam, cond, grid_points=_SOLVE_GRID):
+def solve_degeneracy_on_family(fam, cond):
     """The q strictly between domain_low and 1 where the family line crosses
     the degeneracy curve of cond, or None when the family does not admit
     that degeneracy.
 
-    The composed residual g(q) = F(q, f(q)) is scanned on a uniform grid
-    (resolution <= 1e-4) for sign changes, then bisected; roots closer than
-    the grid to a tangency can be missed.  Two or more candidates raise
-    ConsistencyError, since each admissible line crosses each curve at most
-    once.
+    The family must be admissible (validate_family): a non-decreasing line
+    p = f(q) then crosses the decreasing curve at most once, so the composed
+    residual g(q) = F(q, f(q)) changes sign at most once on [domain_low, 1],
+    where g(1) = 2 (m2 - m1) > 0.  One bisection of g finds the crossing;
+    g(domain_low) >= 0 means there is none.
     """
     lo = fam.domain_low
-    step = (1.0 - lo) / (grid_points - 1)
-    qs = [lo + i * step for i in range(grid_points - 1)] + [1.0]
-    # the excluded corner (0, 0): neighbor/general residuals vanish there
-    # identically, which is not a degeneracy of any admissible point
-    qs = [q for q in qs if not (q == 0.0 and _p_clamped(fam, 0.0) == 0.0)]
 
     def g(q):
         return _residual_raw(cond, q, _p_clamped(fam, q))
 
-    ps = [_p_clamped(fam, q) for q in qs]
-    vals = _residual_grid(cond, np.array(qs), np.array(ps))
-    candidates = grid_roots_from_values(qs, vals)
+    if lo == 0.0 and _p_clamped(fam, 0.0) == 0.0:
+        # the excluded corner (0, 0): take the sign of F's limit there, led by
+        # -[[m1]] (or -[[1]] for m1 = 0) except for (0, 1), where F = q + p
+        g_lo = 1.0 if cond.m2 == 1 else -1.0
+    else:
+        g_lo = g(lo)
     # a zero exactly on the domain boundary is not an in-family degeneracy:
     # e.g. the constant member p = 1 touches every curve at the (0, 1) corner,
     # where the whole spectrum above the ground state collapses
-    candidates = [(a, b) for a, b in candidates
-                  if not (a == b and (a == qs[0] or a == qs[-1]))]
-    if not candidates:
+    if g_lo >= 0.0:
         return None
-    if len(candidates) > 1:
-        raise ConsistencyError(
-            f"{fam.label} crosses the {cond} curve {len(candidates)} times; expected one")
-    a, b = candidates[0]
-    if a == b:
-        return a
-    a, b = bisect_bracket(g, a, b, xtol=1e-14)
+    a, b = bisect_bracket(g, lo, 1.0, flo=g_lo, xtol=0.0)
     return 0.5 * (a + b)
 
 

@@ -1,11 +1,9 @@
-"""Scan-and-bisect root location on a bounded interval.
+"""Bisection root location on a bracket with a known sign change.
 
 Bisection is used instead of Newton so that convergence is guaranteed for
-the polynomial residuals this package works with; the scan step fixes the
-resolution at which nearby roots can still be told apart.
+the polynomial residuals this package works with; the callers derive each
+bracket from the model, so no scan for sign changes is needed.
 """
-
-import math
 
 
 def bisect_bracket(f, lo, hi, flo=None, fhi=None, xtol=1e-13, max_iter=200):
@@ -39,26 +37,3 @@ def bisect_bracket(f, lo, hi, flo=None, fhi=None, xtol=1e-13, max_iter=200):
         else:
             hi, fhi = mid, fm
     return lo, hi
-
-
-def grid_roots_from_values(xs, vals):
-    """Root candidates given pre-evaluated grid values.
-
-    Returns a list of (a, b) pairs ordered by position: a == b marks an
-    exact zero at a grid node, a < b marks a sign change between adjacent
-    nodes.  Non-finite values are rejected.
-    """
-    found = []
-    for i, (x, v) in enumerate(zip(xs, vals)):
-        if not math.isfinite(v):
-            raise ValueError(f"non-finite residual {v} at {x}")
-        if v == 0.0:
-            found.append((x, x))
-        if i + 1 < len(xs) and v * vals[i + 1] < 0.0:
-            found.append((x, xs[i + 1]))
-    return found
-
-
-def grid_roots(f, xs):
-    """Locate root candidates of f on the grid xs (see grid_roots_from_values)."""
-    return grid_roots_from_values(xs, [f(x) for x in xs])

@@ -1,5 +1,7 @@
 """CLI surface: table layout, number formatting, exit codes, determinism."""
 
+from pathlib import Path
+
 import pytest
 
 from qposc import ConsistencyError
@@ -53,6 +55,11 @@ class TestCurveCommand:
             main(["curve"])
         assert exc.value.code == 1
 
+    def test_high_neighbor_pair_reaches_the_corner(self, capsys):
+        code, out, _ = run_cli(capsys, "curve", "--levels", "12,13")
+        assert code == 0
+        assert len(data_rows(out)) == 100
+
     def test_consistency_error_exits_three(self, capsys, monkeypatch):
         def boom(cond, n):
             raise ConsistencyError("forced")
@@ -77,6 +84,12 @@ class TestSolveCommand:
         assert code == 0
         assert data_rows(out) == ["none"]
 
+    @pytest.mark.parametrize("levels", ["5,6", "6,7"])
+    def test_constant_member_emits_none(self, capsys, levels):
+        code, out, _ = run_cli(capsys, "solve", "--levels", levels, "--family", "power:0")
+        assert code == 0
+        assert data_rows(out) == ["none"]
+
     def test_bad_family_grammar_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--levels", "0,2", "--family", "poly:2")
         assert code == 1
@@ -85,6 +98,25 @@ class TestSolveCommand:
     def test_invalid_family_parameter_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--levels", "0,2", "--family", "log:-1")
         assert code == 2
+
+
+README_CLI = Path(__file__).parent / "readme_cli"
+
+
+class TestReadmeExamples:
+    # the full output of each README example, pinned byte for byte
+    @pytest.mark.parametrize("name, argv", [
+        ("curve", ["curve", "--levels", "1,2", "--samples", "2"]),
+        ("solve_power", ["solve", "--levels", "0,2", "--family", "power:1"]),
+        ("solve_log", ["solve", "--levels", "0,2", "--family", "log:6.05"]),
+        ("spectrum", ["spectrum", "--family", "exp:0.5", "--q", "0.01", "--n-max", "10"]),
+        ("intercept", ["intercept", "--family", "exp:0.5", "--samples", "101"]),
+        ("fock", ["fock", "--dim", "8", "--q", "0.5", "--p", "0.25"]),
+    ])
+    def test_output_is_pinned(self, capsys, name, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.encode() == (README_CLI / f"{name}.csv").read_bytes()
 
 
 class TestSpectrumCommand:

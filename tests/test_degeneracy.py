@@ -1,14 +1,16 @@
 """Degeneracy residuals, curve inversion, slopes, endpoints and traces."""
 
 import math
+import random
 
+import mpmath
 import numpy as np
 import pytest
 
 from qposc import (ConsistencyError, CurveTrace, DeformationPoint,
                    DegeneracyCondition, DomainError, endpoint_q, energy_level,
                    implicit_derivative, residual, solve_p_for_q, trace_curve)
-from qposc.roots import bisect_bracket, grid_roots
+from qposc.roots import bisect_bracket
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -102,23 +104,26 @@ class TestSolveP:
         assert solve_p_for_q(DegeneracyCondition(1, 2), 1.0) == 0.0
         assert solve_p_for_q(DegeneracyCondition(3, 4), 0.0) == 1.0
 
+    def test_diagonal_crossing_within_ulps(self):
+        # the curve crosses p = q at x*, the root of phi'(x) = F(x, x): 1/3 for
+        # (0, 2) and sqrt(m / (m + 2)) for (m, m + 1); for q a few ulps either
+        # side the root is p = q, where rounding alone sets the sign of F
+        cases = [(DegeneracyCondition(0, 2), 1.0 / 3.0)]
+        cases += [(DegeneracyCondition(m, m + 1), math.sqrt(m / (m + 2))) for m in (1, 5, 12, 39)]
+        for cond, x_star in cases:
+            q = x_star
+            for _ in range(10):
+                q = math.nextafter(q, 0.0)
+            for _ in range(21):
+                assert solve_p_for_q(cond, q) == pytest.approx(q, abs=1e-12), (cond, q)
+                q = math.nextafter(q, 1.0)
+
     def test_rejects_bad_q(self):
         cond = DegeneracyCondition(0, 2)
         with pytest.raises(DomainError):
             solve_p_for_q(cond, -0.1)
         with pytest.raises(DomainError):
             solve_p_for_q(cond, 1.5)
-
-    def test_multiple_roots_flagged(self, monkeypatch):
-        # the curves are monotone, so force a two-root residual artificially
-        monkeypatch.setattr("qposc.degeneracy._residual_raw",
-                            lambda cond, q, p: (p - 0.3) * (p - 0.7))
-        monkeypatch.setattr("qposc.degeneracy._residual_grid",
-                            lambda cond, qa, pa: (np.asarray(pa) - 0.3)
-                                                 * (np.asarray(pa) - 0.7))
-        with pytest.raises(ConsistencyError):
-            solve_p_for_q(DegeneracyCondition(0, 2), 0.5)
-
 
 class TestImplicitDerivative:
     def test_ground_anchor_slopes(self):
@@ -251,6 +256,24 @@ class TestTrace:
             trace_curve(DegeneracyCondition(0, 1), 5)
         assert solve_p_for_q(DegeneracyCondition(0, 1), 0.5) is None
 
+    def test_off_curve_sample_flagged(self, monkeypatch):
+        # the curves are monotone and each p-solve has one root, so force a
+        # sample off the curve artificially
+        monkeypatch.setattr("qposc.degeneracy.solve_p_for_q", lambda cond, q: 0.5)
+        with pytest.raises(ConsistencyError, match=r"\|F\| = .* >= 1e-08"):
+            trace_curve(DegeneracyCondition(0, 2), 5)
+
+    def test_lost_curve_names_bracket_signs(self, monkeypatch):
+        # an extent stretched past q_m = 0.618 (and an on-curve tolerance wide
+        # enough to accept the stretched first sample) reaches q where the
+        # E_0 = E_2 curve has no p
+        monkeypatch.setattr("qposc.degeneracy.endpoint_q", lambda cond: 0.9)
+        monkeypatch.setattr("qposc.degeneracy._ON_CURVE_TOL", 1.0)
+        with pytest.raises(ConsistencyError,
+                           match=r"lost at q=0\.675: F\(q, p\) > 0 at both ends of "
+                                 r"\[0, x\*=0\.33.*\], F\(q, 0\) = 0\.131"):
+            trace_curve(DegeneracyCondition(0, 2), 5)
+
     def test_trace_is_frozen_record(self):
         trace = trace_curve(DegeneracyCondition(0, 2), 4)
         assert isinstance(trace, CurveTrace)
@@ -258,14 +281,55 @@ class TestTrace:
         assert len(trace.samples) == 4
 
 
-class TestRootHelpers:
-    def test_grid_roots_counts_candidates(self):
-        f = lambda x: (x - 0.25) * (x - 0.75)
-        found = grid_roots(f, [i / 100 for i in range(101)])
-        assert len(found) == 2
-        exact = grid_roots(f, [0.0, 0.25, 0.5])
-        assert (0.25, 0.25) in exact
+def mp_gap(m1, m2, q, p):
+    # independent 50-digit F = 2 (E_m2 - E_m1) from [[k]] = (q^k - p^k) / (q - p)
+    def bracket(k):
+        return k * q ** (k - 1) if q == p else (q ** k - p ** k) / (q - p)
+    return bracket(m2 + 1) + bracket(m2) - bracket(m1 + 1) - bracket(m1)
 
+
+def oracle_trace_errors(m1, m2, n_samples):
+    """Trace (m1, m2) and return |p - p_mpmath| at every 10th sample."""
+    errors = []
+    with mpmath.workdps(50):
+        for s in trace_curve(DegeneracyCondition(m1, m2), n_samples).samples[::10]:
+            q = mpmath.mpf(s.q)
+            root = mpmath.findroot(lambda p: mp_gap(m1, m2, q, p), mpmath.mpf(s.p))
+            assert 0 <= root <= 1, (m1, m2, s.q, root)
+            errors.append(float(abs(s.p - root)))
+    return errors
+
+
+class TestCurveOracle:
+    # near the (0, 1) corner of the neighbour curves 1 - p falls far below
+    # float resolution (1 - 3e-19 at q = 1/33 on (12, 13)), so p = 1.0 there
+    # and the sign of F(q, 1) rests on the compensated residual
+    def test_neighbor_traces_reach_the_corner(self):
+        for m in (12, 20, 39):
+            trace = trace_curve(DegeneracyCondition(m, m + 1), 100)
+            assert len(trace.samples) == 100
+
+    def test_ground_and_neighbor_pairs_against_mpmath(self):
+        pairs = [(0, m) for m in range(2, 41)] + [(m, m + 1) for m in range(1, 40)]
+        worst = max(max(oracle_trace_errors(m1, m2, 100)) for m1, m2 in pairs)
+        assert worst < 1e-13, worst
+
+    @pytest.mark.parametrize("m", [7, 12, 20, 39])
+    def test_dense_neighbor_traces_against_mpmath(self, m):
+        worst = max(oracle_trace_errors(m, m + 1, 1000))
+        assert worst < 1e-13, worst
+
+    def test_general_pairs_against_mpmath(self):
+        rng = random.Random(2026)
+        pairs = []
+        while len(pairs) < 8:
+            m2 = rng.randint(3, 40)
+            pairs.append((rng.randint(1, m2 - 2), m2))
+        worst = max(max(oracle_trace_errors(m1, m2, 100)) for m1, m2 in pairs)
+        assert worst < 1e-13, worst
+
+
+class TestRootHelpers:
     def test_bisect_bracket_refines(self):
         lo, hi = bisect_bracket(lambda x: x * x - 0.25, 0.0, 1.0)
         assert hi - lo <= 1e-13

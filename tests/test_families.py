@@ -106,6 +106,18 @@ class TestDegeneracySolve:
         assert solve_degeneracy_on_family(PowerFamily(0), Cond(0, 2)) is None
         assert solve_degeneracy_on_family(PowerFamily(0), Cond(2, 3)) is None
 
+    def test_constant_member_admits_no_pair(self):
+        # p = 1 touches every curve only at its (0, 1) corner
+        for m2 in range(1, 41):
+            for m1 in range(m2):
+                assert solve_degeneracy_on_family(PowerFamily(0), Cond(m1, m2)) is None
+
+    def test_lowest_pair_from_the_corner(self):
+        # members through (0, 0) start where F's limit is positive for (0, 1)
+        # alone: E_1 - E_0 = (q + p) / 2 never vanishes
+        for fam in (PowerFamily(0.5), PowerFamily(1), PowerFamily(2.5)):
+            assert solve_degeneracy_on_family(fam, Cond(0, 1)) is None
+
     def test_root_certifies_degeneracy(self):
         for fam, cond in [(PowerFamily(0.5), Cond(0, 3)),
                           (ExpFamily(1.0), Cond(2, 3)),
