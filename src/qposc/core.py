@@ -112,7 +112,7 @@ def energy_spectrum(n_max, point):
 
 
 def energy_iter(point):
-    """Iterate E_0, E_1, ... in O(1) per step (the path of peak searches)."""
+    """Iterate E_0, E_1, ... in O(1) per step."""
     return (0.5 * (upper + lower)
             for lower, upper in pairwise(_bracket_iter(point.q, point.p)))
 

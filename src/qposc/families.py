@@ -59,6 +59,8 @@ class LogFamily(ReductionFamily):
         self.alpha = alpha
         self.label = f"log:{alpha:g}"
         self.domain_low = math.exp(-1.0 / alpha)  # where p reaches 0
+        if self.domain_low == 0.0:
+            raise DomainError(f"log coefficient {alpha} too small: exp(-1/alpha) underflows to 0")
 
     def p_of_q(self, q):
         return 1.0 + self.alpha * math.log(q)
@@ -146,12 +148,12 @@ class FamilyReport:
         self.passed = False
 
 
-def validate_family(fam, grid_points=_VALIDATE_GRID):
+def validate_family(fam):
     """Check the two admissibility requirements on a uniform grid:
     f is non-decreasing on [domain_low, 1] and f(1) = 1 (plus 0 <= f <= 1)."""
     lo = fam.domain_low
-    step = (1.0 - lo) / (grid_points - 1)
-    qs = [lo + i * step for i in range(grid_points - 1)] + [1.0]
+    step = (1.0 - lo) / (_VALIDATE_GRID - 1)
+    qs = [lo + i * step for i in range(_VALIDATE_GRID - 1)] + [1.0]
     ps = [fam.p_of_q(q) for q in qs]
 
     report = FamilyReport(passed=True, endpoint_value=ps[-1])

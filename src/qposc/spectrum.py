@@ -1,20 +1,16 @@
 """Shape of the spectrum E(n) along a one-parameter family.
 
-For any strictly deformed member (q < 1) the level energies rise over the
+For any strictly deformed member with p < 1 the level energies rise over the
 first few n, reach a single maximum, then decay monotonically to zero; the
 peak moves right as q grows toward the equally-spaced q = 1 limit.
 """
 
+import math
 from dataclasses import dataclass
 
-from .core import DeformationPoint, energy_iter, energy_spectrum
-from .errors import ConsistencyError, DomainError
+from .core import DeformationPoint, energy_spectrum
+from .errors import DomainError
 from .families import family_p
-
-# a decrease sustained this long certifies the peak: past the maximum both
-# brackets in E_n shrink geometrically, so no later rebound is possible
-_SETTLE_RUN = 10
-_SCAN_CAP = 10_000
 
 
 @dataclass(frozen=True)
@@ -34,7 +30,9 @@ class SpectrumProfile:
 
 
 def profile(fam, q, n_max=200):
-    """Profile the spectrum at the family member q (strictly deformed)."""
+    """Profile the spectrum at the family member q (strictly deformed). On a
+    member with p = 1 (no peak, see peak_level) peak_index is where the rise
+    stalls in floating point, with the plateau in decay_violations, or n_max."""
     if not isinstance(n_max, int) or n_max < 2:
         raise DomainError(f"n_max must be an integer >= 2, got {n_max!r}")
     q = float(q)
@@ -50,23 +48,20 @@ def profile(fam, q, n_max=200):
                            decay_violations=violations)
 
 
-def peak_level(fam, q, scan_cap=_SCAN_CAP):
-    """Index of the spectral maximum, found by scanning until the energies
-    have decreased for 10 consecutive levels."""
+def peak_level(fam, q):
+    """Index of the spectral maximum in O(1): 2 (q - p)(E_{n+1} - E_n) =
+    p^n (1 - p^2) - q^n (1 - q^2) changes sign once in n, at
+    n* = ln((1 - q^2)/(1 - p^2)) / ln(p/q), so the peak is floor(n*) + 1."""
     q = float(q)
     if q >= 1.0:
         raise DomainError("peak_level needs q < 1")
-    point = DeformationPoint(q, family_p(fam, q))
-    best = -1.0
-    best_n = 0
-    run = 0
-    for n, e in enumerate(energy_iter(point)):
-        if e > best:
-            best, best_n, run = e, n, 0
-        else:
-            run += 1
-            if run >= _SETTLE_RUN:
-                return best_n
-        if n >= scan_cap:
-            raise ConsistencyError(
-                f"no certified spectral peak within {scan_cap} levels at q={q}")
+    p = DeformationPoint(q, family_p(fam, q)).p
+    if p == 1.0:
+        raise DomainError(f"{fam.label} has p = 1 at q={q}: E_n rises for ever, no peak")
+    if q == 0.0 or p == 0.0:
+        return 1  # n* = 0 on the axes
+    if q == p:
+        return math.floor(2.0 * q * q / ((1.0 - q) * (1.0 + q))) + 1
+    # log1p keeps a few ulp of relative accuracy as p -> q
+    return math.floor(math.log1p((p - q) * (p + q) / ((1.0 - p) * (1.0 + p)))
+                      / math.log1p((p - q) / q)) + 1

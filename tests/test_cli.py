@@ -99,6 +99,11 @@ class TestSolveCommand:
         code, _, err = run_cli(capsys, "solve", "--levels", "0,2", "--family", "log:-1")
         assert code == 2
 
+    def test_underflowing_log_edge_exits_two(self, capsys):
+        code, _, err = run_cli(capsys, "solve", "--levels", "0,2", "--family", "log:0.001")
+        assert code == 2
+        assert "underflows" in err
+
 
 README_CLI = Path(__file__).parent / "readme_cli"
 

@@ -50,6 +50,12 @@ class TestFamilyMaps:
         with pytest.raises(DomainError):
             ExpFamily(-0.3)
 
+    def test_log_domain_edge_underflow_rejected(self):
+        # exp(-1/alpha) underflows to 0 below alpha ~ 1.342e-3
+        assert LogFamily(1.4e-3).domain_low > 0.0
+        with pytest.raises(DomainError, match=r"log coefficient 0\.001 too small: .*underflows"):
+            LogFamily(1e-3)
+
     def test_parse_grammar(self):
         fam = parse_family("power:2.5")
         assert isinstance(fam, PowerFamily) and fam.exponent == 2.5

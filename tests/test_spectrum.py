@@ -2,15 +2,44 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from qposc import (ConsistencyError, DomainError, ExpFamily, LogFamily,
-                   PowerFamily, family_energy, peak_level, profile,
+from qposc import (DomainError, ExpFamily, LogFamily, PowerFamily,
+                   family_energy, family_p, peak_level, profile,
                    solve_degeneracy_on_family)
 from qposc import DegeneracyCondition as Cond
 
 EXP_HALF = ExpFamily(0.5)
+
+
+def mp_energy(n, q, p):
+    # E_n from the closed-form brackets (q^k - p^k)/(q - p), k q^(k-1) on the diagonal
+    def bracket(k):
+        if q == p:
+            return k * q ** (k - 1) if k else mpmath.mpf(0)
+        return (q ** k - p ** k) / (q - p)
+    return (bracket(n + 1) + bracket(n)) / 2
+
+
+def mp_argmax(q, p):
+    # independent 50-digit argmax of E_n at (q, p) for a spectrum that rises to
+    # one maximum and then falls: the first n with E_{n+1} <= E_n, bracketed by
+    # doubling and then bisected, so peaks near 1e7 cost ~50 evaluations
+    with mpmath.workdps(50):
+        q, p = mpmath.mpf(q), mpmath.mpf(p)
+
+        def falls(n):
+            return mp_energy(n + 1, q, p) <= mp_energy(n, q, p)
+
+        lo, hi = -1, 1
+        while not falls(hi):
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if falls(mid) else (mid, hi)
+        return hi
 
 
 class TestProfile:
@@ -69,9 +98,55 @@ class TestPeakLevel:
         with pytest.raises(DomainError):
             peak_level(PowerFamily(1), 1.0)
 
-    def test_scan_cap_enforced(self):
-        with pytest.raises(ConsistencyError):
-            peak_level(EXP_HALF, 0.9999999, scan_cap=100)
+    @pytest.mark.parametrize("q, peak", [(0.999999, 1386293), (0.9999999, 13862943)])
+    def test_far_peak_near_undeformed(self, q, peak):
+        assert peak_level(EXP_HALF, q) == peak == mp_argmax(q, family_p(EXP_HALF, q))
+
+    def test_far_peak_on_the_diagonal(self):
+        assert peak_level(PowerFamily(1), 0.9999) == 9999 == mp_argmax(0.9999, 0.9999)
+
+    @pytest.mark.parametrize("exponent", [1.0 - 1e-12, 1.0 + 1e-12])
+    def test_near_diagonal_members(self, exponent):
+        # p lies 1 to 90 ulp from q, where ln(p/q) would keep a digit or none
+        fam = PowerFamily(exponent)
+        for q in (0.99, 0.999, 0.9999):
+            assert family_p(fam, q) != q
+            assert peak_level(fam, q) == mp_argmax(q, family_p(fam, q)), q
+
+    def test_axis_edges_peak_at_one(self):
+        log = LogFamily(1.0)
+        for fam, q in [(EXP_HALF, 0.0), (log, log.domain_low)]:
+            assert peak_level(fam, q) == 1 == mp_argmax(q, family_p(fam, q))
+
+    @pytest.mark.parametrize("fam, q, plateau", [(PowerFamily(0), 0.5, 53),
+                                                 (ExpFamily(0.2), 1.0 - 2.0 ** -53, 200)])
+    def test_constant_p_has_no_peak(self, fam, q, plateau):
+        assert family_p(fam, q) == 1.0
+        with pytest.raises(DomainError, match="p = 1"):
+            peak_level(fam, q)
+        # profile reports where the rise stalls in floats, then the plateau
+        prof = profile(fam, q, n_max=200)
+        assert prof.peak_index == plateau
+        assert prof.decay_violations == tuple(range(plateau + 1, 201))
+
+    def test_matches_profile_and_mpmath_on_random_members(self):
+        rng = np.random.default_rng(55)
+        n_max, cases = 200, 0
+        while cases < 60:
+            kind = int(rng.integers(3))
+            if kind == 0:
+                fam = PowerFamily(float(rng.uniform(0.2, 4.0)))
+            elif kind == 1:
+                fam = LogFamily(float(rng.uniform(0.3, 6.0)))
+            else:
+                fam = ExpFamily(float(rng.uniform(0.1, 4.0)))
+            # log-uniform in 1 - q, so the peaks spread from 1 to n_max
+            q = float(1.0 - (1.0 - fam.domain_low) * 10.0 ** rng.uniform(-2.5, 0.0))
+            want = mp_argmax(q, family_p(fam, q))
+            if want >= n_max:
+                continue
+            cases += 1
+            assert peak_level(fam, q) == want == profile(fam, q, n_max).peak_index, (fam, q)
 
 
 class TestShapeInvariants:
