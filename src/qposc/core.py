@@ -15,15 +15,14 @@ are bitwise symmetric in (q, p).  The Hamiltonian
 H = (A A+ + A+ A) / 2 then has the spectrum E_n = ([[n+1]] + [[n]]) / 2,
 with E_0 = 1/2 for every admissible (q, p) and E_n = n + 1/2 at q = p = 1.
 
-All functions here are pure; values are plain floats / numpy arrays and can
-be shared freely between threads.
+All functions here are pure and their values can be shared between threads;
+numpy, for FockRep's arrays, is imported on the first fock_* call.
 """
 
 import math
 from dataclasses import dataclass
 from itertools import islice, pairwise
-
-import numpy as np
+from numbers import Integral
 
 from .errors import DomainError
 
@@ -67,7 +66,7 @@ def _brackets(n, q, p):
 
 
 def _check_level(n):
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+    if not isinstance(n, (int, Integral)) or isinstance(n, bool):  # int skips the ABC hook
         raise DomainError(f"level index must be an integer, got {n!r}")
     if n < 0:
         raise DomainError(f"level index must be non-negative, got {n}")
@@ -126,9 +125,9 @@ class FockRep:
     """
 
     dim: int
-    a_matrix: np.ndarray
-    a_dagger_matrix: np.ndarray
-    n_matrix: np.ndarray
+    a_matrix: "np.ndarray"
+    a_dagger_matrix: "np.ndarray"
+    n_matrix: "np.ndarray"
 
 
 def fock_rep(dim, point):
@@ -137,8 +136,9 @@ def fock_rep(dim, point):
     The defining relations hold on the first dim-1 basis columns; the top
     state is necessarily violated by the cutoff.
     """
-    if not isinstance(dim, (int, np.integer)) or dim < 2:
+    if not isinstance(dim, Integral) or dim < 2:
         raise DomainError(f"representation dimension must be an integer >= 2, got {dim!r}")
+    import numpy as np
     a = np.diag(np.sqrt(_brackets(dim - 1, point.q, point.p)[1:]), 1)
     return FockRep(dim=dim, a_matrix=a, a_dagger_matrix=a.T.copy(),
                    n_matrix=np.diag(np.arange(dim, dtype=float)))
@@ -152,6 +152,7 @@ def fock_residuals(rep, point):
     then both relations are diagonal and take O(dim) from the superdiagonal
     s of A: A A+ = diag(s^2, 0), A+ A = diag(0, s^2).
     """
+    import numpy as np
     a, q, p = rep.a_matrix, point.q, point.p
     s = np.diag(a, 1)
     stray = (np.count_nonzero(a) - np.count_nonzero(s)

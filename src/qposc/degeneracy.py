@@ -24,6 +24,7 @@ import math
 import operator
 from dataclasses import dataclass
 from itertools import accumulate, repeat
+from numbers import Integral
 from typing import NamedTuple, Optional
 
 from .errors import ConsistencyError, DomainError
@@ -44,9 +45,10 @@ class DegeneracyCondition:
     m2: int
 
     def __post_init__(self):
-        for m in (self.m1, self.m2):
-            if not isinstance(m, int) or isinstance(m, bool) or m < 0:
+        for name, m in (("m1", self.m1), ("m2", self.m2)):
+            if not isinstance(m, Integral) or isinstance(m, bool) or m < 0:
                 raise DomainError(f"level indices must be non-negative integers, got {m!r}")
+            object.__setattr__(self, name, int(m))
         if self.m1 >= self.m2:
             raise DomainError(f"need m1 < m2, got ({self.m1}, {self.m2})")
 
@@ -207,7 +209,7 @@ def trace_curve(cond, n_samples):
     axis touch points.  A vertical tangent at an endpoint is reported as
     an infinite slope.
     """
-    if not isinstance(n_samples, int) or n_samples < 2:
+    if not isinstance(n_samples, Integral) or n_samples < 2:
         raise DomainError(f"need at least 2 samples, got {n_samples!r}")
     if (cond.m1, cond.m2) == (0, 1):
         # E_1 - E_0 = (q + p)/2 > 0 on the whole admissible square
@@ -220,7 +222,7 @@ def trace_curve(cond, n_samples):
         p_first = 1.0
 
     samples = []
-    last = n_samples - 1
+    last = int(n_samples) - 1
     for i in range(n_samples):
         qv = q_hi * i / last
         if i == 0:

@@ -9,6 +9,7 @@ labeled as such in emitted tables.
 """
 
 from dataclasses import dataclass
+from numbers import Integral
 
 from .errors import DomainError
 from .families import ExpFamily, PowerFamily, family_p
@@ -37,10 +38,10 @@ def _is_extrapolated(fam):
 
 def intercept_curve(fam, n_samples):
     """Sample the intercept on a uniform q-grid over the family domain."""
-    if not isinstance(n_samples, int) or n_samples < 2:
+    if not isinstance(n_samples, Integral) or n_samples < 2:
         raise DomainError(f"need at least 2 samples, got {n_samples!r}")
     lo = fam.domain_low
-    last = n_samples - 1
+    last = int(n_samples) - 1
     samples = []
     for i in range(n_samples):
         q = lo + (1.0 - lo) * i / last if i < last else 1.0

@@ -1,17 +1,17 @@
 """Bisection root location on a bracket with a known sign change.
 
-Bisection is used instead of Newton so that convergence is guaranteed for
-the polynomial residuals this package works with; the callers derive each
-bracket from the model, so no scan for sign changes is needed.
+Bisection is used instead of Newton so that convergence is guaranteed on
+the brackets the callers derive from the model.  There is no step cap: a
+bisection stops at width <= xtol or when its ends are adjacent floats.
 """
 
 
-def bisect_bracket(f, lo, hi, flo=None, fhi=None, xtol=1e-13, max_iter=200):
-    """Shrink a sign-change bracket [lo, hi] until hi - lo <= xtol.
+def bisect_bracket(f, lo, hi, flo=None, fhi=None, xtol=1e-13):
+    """Shrink a sign-change bracket [lo, hi] to width <= xtol or to two
+    adjacent floats, and return the final (lo, hi) pair.
 
-    Returns the final (lo, hi) pair.  If an exact zero of f is hit, both
-    entries equal that abscissa.  f(lo) and f(hi) must have opposite signs
-    (pass flo/fhi if already evaluated).
+    If an exact zero of f is hit, both entries equal that abscissa.  f(lo)
+    and f(hi) must have opposite signs (pass flo/fhi if already evaluated).
     """
     if flo is None:
         flo = f(lo)
@@ -23,11 +23,9 @@ def bisect_bracket(f, lo, hi, flo=None, fhi=None, xtol=1e-13, max_iter=200):
         return hi, hi
     if (flo < 0.0) == (fhi < 0.0):
         raise ValueError(f"no sign change on [{lo}, {hi}]")
-    for _ in range(max_iter):
-        if hi - lo <= xtol:
-            break
+    while hi - lo > xtol:
         mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:  # interval below float resolution
+        if mid <= lo or mid >= hi:  # lo and hi are adjacent floats
             break
         fm = f(mid)
         if fm == 0.0:

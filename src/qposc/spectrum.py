@@ -7,6 +7,7 @@ peak moves right as q grows toward the equally-spaced q = 1 limit.
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 from .core import DeformationPoint, energy_spectrum
 from .errors import DomainError
@@ -33,7 +34,7 @@ def profile(fam, q, n_max=200):
     """Profile the spectrum at the family member q (strictly deformed). On a
     member with p = 1 (no peak, see peak_level) peak_index is where the rise
     stalls in floating point, with the plateau in decay_violations, or n_max."""
-    if not isinstance(n_max, int) or n_max < 2:
+    if not isinstance(n_max, Integral) or n_max < 2:
         raise DomainError(f"n_max must be an integer >= 2, got {n_max!r}")
     q = float(q)
     if q >= 1.0:

@@ -1,4 +1,10 @@
-"""The public API: the names exported by qposc.__all__."""
+"""The public API: the names exported by qposc.__all__, and what importing
+the package loads."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import qposc
 
@@ -22,3 +28,30 @@ PUBLIC_NAMES = {
 def test_exported_names_are_pinned():
     assert sorted(qposc.__all__) == sorted(PUBLIC_NAMES)
     assert all(hasattr(qposc, name) for name in qposc.__all__)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_fresh(*argv):
+    """Run sys.executable in a new process with the source tree on its path,
+    so nothing the test session already imported (numpy) leaks into it."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True,
+                          check=True)
+
+
+def test_import_leaves_numpy_unloaded():
+    # numpy is needed only by fock_rep / fock_residuals, which import it on
+    # their first call; only modules the import itself loaded are counted
+    loaded = run_fresh("-c", "import sys; before = set(sys.modules); "
+                       "import qposc, qposc.cli; "
+                       "print(*(set(sys.modules) - before))").stdout.decode().split()
+    assert "qposc.cli" in loaded
+    assert not [name for name in loaded if name.split(".")[0] == "numpy"]
+
+
+def test_fock_in_a_fresh_process_matches_readme():
+    out = run_fresh("-m", "qposc.cli", "fock", "--dim", "8", "--q", "0.5", "--p", "0.25")
+    assert out.stdout == (Path(__file__).parent / "readme_cli" / "fock.csv").read_bytes()

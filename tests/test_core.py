@@ -186,6 +186,16 @@ class TestEnergies:
         with pytest.raises(DomainError):
             energy_level(-1, DeformationPoint(0.5, 0.5))
 
+    def test_numpy_integer_levels_accepted_bool_rejected(self):
+        # numpy registers its integer types as numbers.Integral
+        pt = DeformationPoint(0.5, 0.25)
+        assert energy_spectrum(np.int64(3), pt) == energy_spectrum(3, pt)
+        assert energy_level(np.int32(2), pt) == energy_level(2, pt)
+        assert fock_rep(np.int64(4), pt).a_matrix.shape == (4, 4)
+        for bad in (True, 2.0):
+            with pytest.raises(DomainError):
+                energy_spectrum(bad, pt)
+
 
 class TestFock:
     def test_undeformed_number_operator(self):

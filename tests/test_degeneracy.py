@@ -49,6 +49,15 @@ class TestCondition:
         with pytest.raises(DomainError):
             DegeneracyCondition(m1, m2)
 
+    def test_numpy_integer_indices(self):
+        cond = DegeneracyCondition(np.int64(0), np.int64(2))
+        assert cond == DegeneracyCondition(0, 2)
+        assert type(cond.m1) is int and type(cond.m2) is int
+        assert repr(cond) == "DegeneracyCondition(m1=0, m2=2)"
+        for m1, m2 in ((False, 2), (0, True), (0.0, 2)):
+            with pytest.raises(DomainError, match="non-negative integers"):
+                DegeneracyCondition(m1, m2)
+
 
 class TestResidual:
     def test_known_zeros(self):
@@ -249,6 +258,14 @@ class TestTrace:
     def test_sample_count_validated(self):
         with pytest.raises(DomainError):
             trace_curve(DegeneracyCondition(0, 2), 1)
+
+    def test_numpy_sample_count(self):
+        cond = DegeneracyCondition(0, 5)
+        trace = trace_curve(cond, np.int64(5))
+        assert trace == trace_curve(cond, 5)
+        assert all(type(v) is float for s in trace.samples for v in s)
+        with pytest.raises(DomainError, match="at least 2 samples"):
+            trace_curve(cond, True)
 
     def test_lowest_pair_has_no_curve(self):
         # E_1 exceeds E_0 everywhere, so there is nothing to trace

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -96,7 +97,40 @@ class TestValidation:
         assert not report.passed
 
 
+def mp_log_crossing(alpha, m1, m2):
+    """The crossing of log:alpha with the (m1, m2) curve in 60-digit mpmath,
+    bisected in t = ln q on [-1/alpha, 0], where p = 1 + alpha t runs over
+    [0, 1]; E_m2 - E_m1 changes sign there once."""
+    with mpmath.workdps(60):
+        alpha = mpmath.mpf(alpha)
+
+        def gap(t):
+            q, p = mpmath.exp(t), 1 + alpha * t
+            def br(k):
+                return mpmath.fsum(q ** (k - 1 - r) * p ** r for r in range(k))
+            return br(m2 + 1) + br(m2) - br(m1 + 1) - br(m1)
+
+        lo, hi = -1 / alpha, mpmath.mpf(0)
+        for _ in range(250):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if gap(mid) < 0 else (lo, mid)
+        return mpmath.exp(lo)
+
+
 class TestDegeneracySolve:
+    @pytest.mark.parametrize("m1, m2", [(0, 2), (0, 5), (1, 2)])
+    @pytest.mark.parametrize("alpha", [0.0014, 0.002, 0.003])
+    def test_small_log_coefficients_against_mpmath(self, alpha, m1, m2):
+        # the (0, 2) crossings lie at q ~ 1e-119, 1e-83 and 5e-56, far below
+        # 2^-200; one ulp of p = 1 + alpha ln q moves q by ~2^-53 / alpha
+        # relative (8e-14 at alpha = 0.0014)
+        fam, cond = LogFamily(alpha), Cond(m1, m2)
+        q_star = solve_degeneracy_on_family(fam, cond)
+        want = mp_log_crossing(alpha, m1, m2)
+        assert abs(q_star - want) / want < 1e-12, (q_star, want)
+        gap = family_energy(fam, m2, q_star) - family_energy(fam, m1, q_star)
+        assert abs(gap) < 1e-12
+
     def test_diagonal_ground_root(self):
         # p = q turns the E_0 = E_2 residual into 3q^2 + 2q - 1
         q_star = solve_degeneracy_on_family(PowerFamily(1), Cond(0, 2))

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from qposc import (CustomFamily, DomainError, ExpFamily, LogFamily,
@@ -69,3 +70,11 @@ class TestCurve:
     def test_sample_count_validated(self):
         with pytest.raises(DomainError):
             intercept_curve(PowerFamily(1), 1)
+
+    def test_numpy_sample_count(self):
+        fam = ExpFamily(0.5)
+        curve = intercept_curve(fam, np.int64(5))
+        assert curve == intercept_curve(fam, 5)
+        assert all(type(v) is float for s in curve.samples for v in s)
+        with pytest.raises(DomainError, match="at least 2 samples"):
+            intercept_curve(fam, True)

@@ -73,6 +73,11 @@ class TestProfile:
         with pytest.raises(DomainError):
             profile(EXP_HALF, 0.5, n_max=1)
 
+    def test_numpy_level_count(self):
+        assert profile(EXP_HALF, 0.5, np.int64(20)) == profile(EXP_HALF, 0.5, 20)
+        with pytest.raises(DomainError, match="n_max must be an integer"):
+            profile(EXP_HALF, 0.5, 20.0)
+
 
 class TestPeakLevel:
     def test_matches_exhaustive_scan(self):
