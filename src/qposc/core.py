@@ -26,8 +26,7 @@ from numbers import Integral
 
 from .errors import DomainError
 
-# |q - p| below this switches qp_bracket to its q == p limit form, avoiding
-# the 0/0 cancellation in the defining ratio.
+# Exported for compatibility (qposc.__all__); no code path reads it.
 EPS_EQUAL = 1e-9
 
 
@@ -83,20 +82,23 @@ def qp_bracket(x, point):
     """The bracket [[x]] for real x.
 
     Non-negative integer x always goes through the recurrence of
-    qp_bracket_int; otherwise the defining ratio (q^x - p^x)/(q - p) is
-    used, replaced by its limit x * q^(x-1) when |q - p| < EPS_EQUAL.
+    qp_bracket_int.  Otherwise, with q >= p > 0 (the bracket is symmetric),
+    the defining ratio is q^(x-1) (1 - (p/q)^x) / ((q - p)/q), with
+    1 - (p/q)^x = -expm1(-x log1p((q - p)/p)): it neither overflows nor
+    cancels as q - p -> 0, and q == p gives the limit x q^(x-1).
     """
     x = float(x)
     if not math.isfinite(x):
         raise DomainError(f"bracket argument must be finite, got {x}")
     if x.is_integer() and x >= 0:
         return _brackets(int(x), point.q, point.p)[-1]
-    q, p = point.q, point.p
-    if q == 0.0 or p == 0.0:
+    q, p = max(point.q, point.p), min(point.q, point.p)
+    if p == 0.0:
         raise DomainError(f"[[{x}]] is undefined on the axes (power of zero)")
-    if abs(q - p) < EPS_EQUAL:
+    if q == p:
         return x * q ** (x - 1.0)
-    return (q ** x - p ** x) / (q - p)
+    d = q - p
+    return q ** (x - 1.0) * -math.expm1(-x * math.log1p(d / p)) / (d / q)
 
 
 def energy_level(n, point):

@@ -97,8 +97,7 @@ def residual(cond, point):
 def _critical_point(cond):
     """x*, the root of phi'(x) = F(x, x) in (0, 1), for every pair but (0, 1).
 
-    phi' < 0 just right of 0 (flo = -1: phi'(0) vanishes for m1 >= 2) and
-    phi'(1) = 2 (m2 - m1) > 0.
+    phi' <= 0 at 0 and just right of it, and phi'(1) = 2 (m2 - m1) > 0.
     """
     m1, m2 = cond.m1, cond.m2
 
@@ -106,20 +105,20 @@ def _critical_point(cond):
         return math.fsum([(m2 + 1) * x ** m2, m2 * x ** (m2 - 1),
                           -(m1 + 1) * x ** m1, -m1 * x ** (m1 - 1) if m1 else 0.0])
 
-    lo, hi = bisect_bracket(dphi, 0.0, 1.0, flo=-1.0, xtol=1e-15)
+    lo, hi = bisect_bracket(dphi, 0.0, 1.0)
     return 0.5 * (lo + hi)
 
 
 def solve_p_for_q(cond, q) -> Optional[float]:
     """The unique p in [0, 1] with residual(cond, (q, p)) == 0, or None.
 
-    F(q, .) is bisected to float resolution on the p-bracket given by the
-    level-set identity (see the module docstring).  At its x* end F has the
-    sign of q - x*, since (q - x*) F(q, x*) = phi(q) - phi(x*) >= 0; that
-    sign is passed in, not computed, because rounding flips the computed
-    one within a few ulps of the diagonal.  F(q, 1) > 0 for every q <= x*,
-    so only F(q, 0) > 0 for q > x* leaves no root: a ground curve past its
-    endpoint q_m.  The pair (0, 1) has no curve at all.
+    F(q, .) rises through its root on the p-bracket given by the level-set
+    identity (see the module docstring).  At its x* end F has the sign of
+    q - x*, since (q - x*) F(q, x*) = phi(q) - phi(x*) >= 0, and F(q, 1) > 0
+    for q <= x*; these signs are stated, not computed, because rounding flips
+    the computed ones within a few ulps of the diagonal.  Only F(q, 0) > 0
+    for q > x* leaves no root: a ground curve past its endpoint q_m.  The
+    pair (0, 1) has no curve at all.
     """
     q = float(q)
     if not (math.isfinite(q) and 0.0 <= q <= 1.0):
@@ -132,12 +131,13 @@ def solve_p_for_q(cond, q) -> Optional[float]:
 
     x_star = _critical_point(cond)
     if q <= x_star:  # p >= x* > 0, so (0, 0) is never evaluated
-        lo, hi, flo, fhi = x_star, 1.0, -1.0, f(1.0)
+        lo, hi = x_star, 1.0
     else:
-        lo, hi, flo, fhi = 0.0, x_star, f(0.0), 1.0
-        if flo > 0.0:
-            return None
-    lo, hi = bisect_bracket(f, lo, hi, flo=flo, fhi=fhi, xtol=0.0)
+        f0 = f(0.0)
+        if f0 >= 0.0:  # past q_m, or F(q, 0) == 0 at q = q_m or q = 1
+            return None if f0 > 0.0 else 0.0
+        lo, hi = 0.0, x_star
+    lo, hi = bisect_bracket(f, lo, hi)
     return 0.5 * (lo + hi)
 
 
@@ -171,18 +171,13 @@ def implicit_derivative(cond, point):
 def endpoint_q(cond):
     """Largest q reached by a ground-type curve: the root of q^m + q^(m-1) = 1.
 
-    By the q <-> p symmetry this also equals the p-axis endpoint.  The value
-    returned is the inner edge of the final bisection bracket (residual < 0
-    side), so a p-solve at this q still sees a sign change.
+    By the q <-> p symmetry this also equals the p-axis endpoint.  The lower
+    end of the bisected bracket of F(q, 0) = q^m + q^(m-1) - 1 is returned,
+    so F(q_m, 0) <= 0 in the very sum that solve_p_for_q evaluates.
     """
     if cond.kind != GROUND:
         raise DomainError(f"endpoint_q applies to ground-type conditions only, got {cond}")
-    m = cond.m2
-
-    def f(x):
-        return x ** m + x ** (m - 1) - 1.0
-
-    lo, hi = bisect_bracket(f, 0.0, 1.0, flo=-1.0, fhi=1.0, xtol=1e-13)
+    lo, _ = bisect_bracket(lambda x: _residual_raw(cond, x, 0.0), 0.0, 1.0)
     return lo
 
 

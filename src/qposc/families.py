@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 from .core import DeformationPoint, energy_level
-from .degeneracy import _residual_raw
+from .degeneracy import _residual_raw, solve_p_for_q
 from .errors import DomainError
 from .roots import bisect_bracket
 
@@ -178,26 +178,26 @@ def solve_degeneracy_on_family(fam, cond):
     The family must be admissible (validate_family): a non-decreasing line
     p = f(q) then crosses the decreasing curve at most once, so the composed
     residual g(q) = F(q, f(q)) changes sign at most once on [domain_low, 1],
-    where g(1) = 2 (m2 - m1) > 0.  One bisection of g finds the crossing;
-    g(domain_low) >= 0 means there is none.
+    where g(1) = 2 (m2 - m1) > 0.  The member admits the degeneracy iff it
+    starts below the curve, g(domain_low) < 0, and one bisection of g finds
+    the crossing.  A computed g(domain_low) == 0.0 is a touch on the boundary
+    (p = 1 at the (0, 1) corner, where the spectrum above E_0 collapses, or
+    the (0, 0) corner) or an underflowed negative value: there the curve
+    decides, by f(domain_low) < p(domain_low) on the curve.
     """
     lo = fam.domain_low
 
     def g(q):
         return _residual_raw(cond, q, _p_clamped(fam, q))
 
-    if lo == 0.0 and _p_clamped(fam, 0.0) == 0.0:
-        # the excluded corner (0, 0): take the sign of F's limit there, led by
-        # -[[m1]] (or -[[1]] for m1 = 0) except for (0, 1), where F = q + p
-        g_lo = 1.0 if cond.m2 == 1 else -1.0
-    else:
-        g_lo = g(lo)
-    # a zero exactly on the domain boundary is not an in-family degeneracy:
-    # e.g. the constant member p = 1 touches every curve at the (0, 1) corner,
-    # where the whole spectrum above the ground state collapses
-    if g_lo >= 0.0:
+    g_lo = g(lo)
+    if g_lo == 0.0:
+        p_curve = solve_p_for_q(cond, lo)
+        if p_curve is None or not _p_clamped(fam, lo) < p_curve:
+            return None
+    elif g_lo > 0.0:
         return None
-    a, b = bisect_bracket(g, lo, 1.0, flo=g_lo, xtol=0.0)
+    a, b = bisect_bracket(g, lo, 1.0)
     return 0.5 * (a + b)
 
 

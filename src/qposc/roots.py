@@ -1,37 +1,26 @@
-"""Bisection root location on a bracket with a known sign change.
+"""Bisection on a bracket whose signs the caller states from the model.
 
-Bisection is used instead of Newton so that convergence is guaranteed on
-the brackets the callers derive from the model.  There is no step cap: a
-bisection stops at width <= xtol or when its ends are adjacent floats.
+The contract is f(lo) <= 0 < f(hi), and the ends are never evaluated: near a
+root, or where f underflows to 0.0, their computed signs can be wrong.  A
+midpoint with f(mid) > 0 becomes hi and any other, an exact zero too, lo,
+until lo and hi are adjacent floats; there is no tolerance.
+
+The midpoint is linear.  A float-order midpoint (halving the count of
+floats left) would cap every bisection in [0, 1] at 64 steps, where a root
+near 0 costs up to ~1075 linear halvings (446 evaluations for log:0.0014
+(0,2) against 62), but it was measured and left out: a curve sample's x*
+and p-solve then take ~124 residual evaluations instead of ~108.
 """
 
 
-def bisect_bracket(f, lo, hi, flo=None, fhi=None, xtol=1e-13):
-    """Shrink a sign-change bracket [lo, hi] to width <= xtol or to two
-    adjacent floats, and return the final (lo, hi) pair.
-
-    If an exact zero of f is hit, both entries equal that abscissa.  f(lo)
-    and f(hi) must have opposite signs (pass flo/fhi if already evaluated).
-    """
-    if flo is None:
-        flo = f(lo)
-    if fhi is None:
-        fhi = f(hi)
-    if flo == 0.0:
-        return lo, lo
-    if fhi == 0.0:
-        return hi, hi
-    if (flo < 0.0) == (fhi < 0.0):
-        raise ValueError(f"no sign change on [{lo}, {hi}]")
-    while hi - lo > xtol:
+def bisect_bracket(f, lo, hi):
+    """Shrink [lo, hi], where f(lo) <= 0 < f(hi), to two adjacent floats and
+    return them as (lo, hi); f is called at midpoints only."""
+    while True:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:  # lo and hi are adjacent floats
-            break
-        fm = f(mid)
-        if fm == 0.0:
-            return mid, mid
-        if (fm < 0.0) == (flo < 0.0):
-            lo, flo = mid, fm
+            return lo, hi
+        if f(mid) > 0.0:
+            hi = mid
         else:
-            hi, fhi = mid, fm
-    return lo, hi
+            lo = mid

@@ -84,6 +84,16 @@ class TestSolveCommand:
         assert code == 0
         assert data_rows(out) == ["none"]
 
+    def test_high_neighbor_crossing_on_a_steep_exp_member(self, capsys):
+        # exp:20 starts at p = exp(-20), where the computed edge residual
+        # underflows to 0.0; 60-digit mpmath puts the crossing at
+        # q = 0.996155207397683 (tests/test_families.py checks its sign change)
+        code, out, _ = run_cli(capsys, "solve", "--levels", "40,41", "--family", "exp:20")
+        assert code == 0
+        q, _, e40, e41 = data_rows(out)[0].split(",")
+        assert q == "0.996155207398"
+        assert e40 == e41
+
     @pytest.mark.parametrize("levels", ["5,6", "6,7"])
     def test_constant_member_emits_none(self, capsys, levels):
         code, out, _ = run_cli(capsys, "solve", "--levels", levels, "--family", "power:0")

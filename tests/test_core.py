@@ -92,6 +92,23 @@ class TestBracket:
         near = DeformationPoint(0.5, 0.5 + 1e-10)
         assert qp_bracket(2.5, near) == pytest.approx(2.5 * 0.5 ** 1.5, rel=1e-9)
 
+    def test_non_integer_near_the_diagonal_against_mpmath(self):
+        # (q^x - p^x)/(q - p) at the exact float inputs, in 50-digit mpmath
+        cases = [(2.5, 1e-10, 5e-10), (0.5, 3e-10, 1e-10)]
+        for q in (0.3, 0.5, 0.9, 0.99):
+            for e in range(1, 13):
+                for p in (q - 10.0 ** -e, q + 10.0 ** -e):
+                    if p <= 1.0:
+                        cases += [(x, q, p) for x in (0.5, 2.5, 7.3, 40.7)]
+        worst = 0.0
+        with mpmath.workdps(50):
+            for x, q, p in cases:
+                xm, qm, pm = mpmath.mpf(x), mpmath.mpf(q), mpmath.mpf(p)
+                want = (qm ** xm - pm ** xm) / (qm - pm)
+                got = qp_bracket(x, DeformationPoint(q, p))
+                worst = max(worst, float(abs(got - want) / want))
+        assert worst <= 1e-14, worst
+
     def test_rejections(self):
         pt = DeformationPoint(0.5, 0.5)
         with pytest.raises(DomainError):

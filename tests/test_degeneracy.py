@@ -347,11 +347,25 @@ class TestCurveOracle:
 
 
 class TestRootHelpers:
+    @pytest.mark.parametrize("m", [2, 3, 4, 6, 20, 40])
+    def test_endpoint_to_two_ulps_against_mpmath(self, m):
+        with mpmath.workdps(50):
+            want = mpmath.findroot(lambda x: x ** m + x ** (m - 1) - 1, (0.5, 1), solver="anderson")
+            err = abs(mpmath.mpf(endpoint_q(DegeneracyCondition(0, m))) - want)
+            assert err <= 2 * math.ulp(float(want)), float(err)
+
     def test_bisect_bracket_refines(self):
         lo, hi = bisect_bracket(lambda x: x * x - 0.25, 0.0, 1.0)
         assert hi - lo <= 1e-13
         assert lo <= 0.5 <= hi or abs(lo - 0.5) < 1e-13
 
-    def test_bisect_bracket_needs_sign_change(self):
-        with pytest.raises(ValueError):
-            bisect_bracket(lambda x: x + 1.0, 0.0, 1.0)
+    def test_bisect_bracket_runs_past_an_exact_zero_to_adjacent_floats(self):
+        # f(lo) <= 0 < f(hi) is the contract; an exact zero is a lo end
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x - 0.5
+
+        assert bisect_bracket(f, 0.0, 1.0) == (0.5, math.nextafter(0.5, 1.0))
+        assert 0.0 not in calls and 1.0 not in calls  # the ends are not evaluated

@@ -117,7 +117,28 @@ def mp_log_crossing(alpha, m1, m2):
         return mpmath.exp(lo)
 
 
+def mp_family_gap(fam, m1, m2, q):
+    """E_m2 - E_m1 along a log or exp member at q, in 60-digit mpmath."""
+    with mpmath.workdps(60):
+        q, a = mpmath.mpf(q), mpmath.mpf(fam.alpha)
+        p = 1 + a * mpmath.log(q) if isinstance(fam, LogFamily) else mpmath.exp(a * (q - 1))
+        def br(k):
+            return mpmath.fsum(q ** (k - 1 - r) * p ** r for r in range(k))
+        return (br(m2 + 1) + br(m2) - br(m1 + 1) - br(m1)) / 2
+
+
 class TestDegeneracySolve:
+    @pytest.mark.parametrize("fam, m1, m2", [
+        (ExpFamily(20), 40, 41), (ExpFamily(50), 20, 21), (LogFamily(0.003), 5, 6),
+        (LogFamily(0.0014), 3, 4), (LogFamily(0.0014), 10, 11)])
+    def test_crossing_where_the_computed_edge_residual_underflows(self, fam, m1, m2):
+        # g(domain_low) underflows to 0.0 here although its true value is
+        # negative: the member starts below the curve and crosses it once
+        q_star = solve_degeneracy_on_family(fam, Cond(m1, m2))
+        assert q_star is not None
+        assert mp_family_gap(fam, m1, m2, q_star * (1 - 1e-12)) < 0
+        assert mp_family_gap(fam, m1, m2, q_star * (1 + 1e-12)) > 0
+
     @pytest.mark.parametrize("m1, m2", [(0, 2), (0, 5), (1, 2)])
     @pytest.mark.parametrize("alpha", [0.0014, 0.002, 0.003])
     def test_small_log_coefficients_against_mpmath(self, alpha, m1, m2):
