@@ -12,12 +12,12 @@ level-set identity
 
 and phi'(x) = F(x, x) changes sign exactly once on (0, 1) (Descartes' rule;
 every pair but (0, 1), where F = q + p > 0), so phi falls to a single
-minimum at x* and rises after it.  Off the diagonal the curve is the set
+minimum and rises after it.  Off the diagonal the curve is the set
 phi(p) = phi(q) with p and q on opposite branches of phi, so for each q at
-most one p solves F(q, p) = 0, and it lies in [x*, 1] when q <= x* and in
-[0, x*] otherwise.  On its extent each curve is the graph of a continuous,
-decreasing function p(q) with slope -(dF/dq) / (dF/dp), which equals
-phi'(q) / phi'(p) off the diagonal.
+most one p solves F(q, p) = 0: in [q, 1] when F(q, q) <= 0 (q on the
+falling branch) and in [0, q] otherwise.  On its extent each curve is the
+graph of a continuous, decreasing function p(q) with slope
+-(dF/dq) / (dF/dp), which equals phi'(q) / phi'(p) off the diagonal.
 """
 
 import math
@@ -94,31 +94,18 @@ def residual(cond, point):
     return _residual_raw(cond, point.q, point.p)
 
 
-def _critical_point(cond):
-    """x*, the root of phi'(x) = F(x, x) in (0, 1), for every pair but (0, 1).
-
-    phi' <= 0 at 0 and just right of it, and phi'(1) = 2 (m2 - m1) > 0.
-    """
-    m1, m2 = cond.m1, cond.m2
-
-    def dphi(x):
-        return math.fsum([(m2 + 1) * x ** m2, m2 * x ** (m2 - 1),
-                          -(m1 + 1) * x ** m1, -m1 * x ** (m1 - 1) if m1 else 0.0])
-
-    lo, hi = bisect_bracket(dphi, 0.0, 1.0)
-    return 0.5 * (lo + hi)
-
-
 def solve_p_for_q(cond, q) -> Optional[float]:
     """The unique p in [0, 1] with residual(cond, (q, p)) == 0, or None.
 
-    F(q, .) rises through its root on the p-bracket given by the level-set
-    identity (see the module docstring).  At its x* end F has the sign of
-    q - x*, since (q - x*) F(q, x*) = phi(q) - phi(x*) >= 0, and F(q, 1) > 0
-    for q <= x*; these signs are stated, not computed, because rounding flips
-    the computed ones within a few ulps of the diagonal.  Only F(q, 0) > 0
-    for q > x* leaves no root: a ground curve past its endpoint q_m.  The
-    pair (0, 1) has no curve at all.
+    F(q, .) rises through its root on the p-bracket that the computed sign
+    of F(q, q) = phi'(q) picks (see the module docstring).  On the falling
+    branch, F(q, q) <= 0, the bracket is [q, 1]: F(q, 1) = phi(q) / (q - 1)
+    is stated positive, not computed (it is for 0 < q < 1; at q = 0 it may
+    vanish, and then p = 1 is the root the bisection ends on).  On the
+    rising branch the bracket is [0, q], and only F(q, 0) >= 0 leaves no
+    interior root: a ground curve past its endpoint q_m.  Within a few ulps
+    of phi's minimum rounding can pick the wrong branch; the bisection then
+    ends next to q, which is the root there.  The pair (0, 1) has no curve.
     """
     q = float(q)
     if not (math.isfinite(q) and 0.0 <= q <= 1.0):
@@ -129,14 +116,13 @@ def solve_p_for_q(cond, q) -> Optional[float]:
     def f(p):
         return _residual_raw(cond, q, p)
 
-    x_star = _critical_point(cond)
-    if q <= x_star:  # p >= x* > 0, so (0, 0) is never evaluated
-        lo, hi = x_star, 1.0
+    if f(q) <= 0.0:
+        lo, hi = q, 1.0
     else:
         f0 = f(0.0)
         if f0 >= 0.0:  # past q_m, or F(q, 0) == 0 at q = q_m or q = 1
             return None if f0 > 0.0 else 0.0
-        lo, hi = 0.0, x_star
+        lo, hi = 0.0, q
     lo, hi = bisect_bracket(f, lo, hi)
     return 0.5 * (lo + hi)
 
@@ -229,8 +215,7 @@ def trace_curve(cond, n_samples):
             if pv is None:
                 raise ConsistencyError(
                     f"curve for {cond} lost at q={qv}: F(q, p) > 0 at both ends of "
-                    f"[0, x*={_critical_point(cond)}], F(q, 0) = "
-                    f"{_residual_raw(cond, qv, 0.0):.3g}")
+                    f"[0, q], F(q, 0) = {_residual_raw(cond, qv, 0.0):.3g}")
         r = _residual_raw(cond, qv, pv)
         if abs(r) >= _ON_CURVE_TOL:
             raise ConsistencyError(f"sample ({qv}, {pv}) off the {cond} curve: "

@@ -37,6 +37,12 @@ class ReductionFamily:
     def __repr__(self):
         return f"{type(self).__name__}({self.label!r})"
 
+    def __eq__(self, other):
+        return type(self) is type(other) and vars(self) == vars(other)
+
+    def __hash__(self):
+        return hash((type(self), frozenset(vars(self).items())))
+
 
 class PowerFamily(ReductionFamily):
     def __init__(self, exponent):
@@ -183,7 +189,9 @@ def solve_degeneracy_on_family(fam, cond):
     the crossing.  A computed g(domain_low) == 0.0 is a touch on the boundary
     (p = 1 at the (0, 1) corner, where the spectrum above E_0 collapses, or
     the (0, 0) corner) or an underflowed negative value: there the curve
-    decides, by f(domain_low) < p(domain_low) on the curve.
+    decides, by f(domain_low) < p(domain_low) on the curve.  A crossing
+    below the smallest positive double, where the bracket keeps its lower
+    end 0.0, raises DomainError.
     """
     lo = fam.domain_low
 
@@ -198,6 +206,9 @@ def solve_degeneracy_on_family(fam, cond):
     elif g_lo > 0.0:
         return None
     a, b = bisect_bracket(g, lo, 1.0)
+    if a == 0.0:
+        raise DomainError(f"{fam.label} crosses the {cond} curve below the "
+                          f"smallest positive double")
     return 0.5 * (a + b)
 
 

@@ -100,6 +100,12 @@ class TestSolveCommand:
         assert code == 0
         assert data_rows(out) == ["none"]
 
+    def test_crossing_below_the_smallest_double_exits_two(self, capsys):
+        code, out, err = run_cli(capsys, "solve", "--levels", "0,65", "--family", "power:1e-8")
+        assert code == 2
+        assert out == ""
+        assert "below the smallest positive double" in err
+
     def test_bad_family_grammar_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--levels", "0,2", "--family", "poly:2")
         assert code == 1

@@ -93,6 +93,18 @@ class TestResidual:
                 assert residual(cond, pt) == pytest.approx(gap, abs=1e-12)
 
 
+def count_bisections(monkeypatch):
+    """Record the bracket of every bisect_bracket call that degeneracy makes."""
+    calls = []
+
+    def counting(f, lo, hi):
+        calls.append((lo, hi))
+        return bisect_bracket(f, lo, hi)
+
+    monkeypatch.setattr("qposc.degeneracy.bisect_bracket", counting)
+    return calls
+
+
 class TestSolveP:
     def test_axis_and_interior_values(self):
         cond = DegeneracyCondition(0, 2)
@@ -126,6 +138,26 @@ class TestSolveP:
             for _ in range(21):
                 assert solve_p_for_q(cond, q) == pytest.approx(q, abs=1e-12), (cond, q)
                 q = math.nextafter(q, 1.0)
+
+    @pytest.mark.parametrize("m1, m2, falling, rising", [
+        (0, 2, 0.1, 0.5), (1, 2, 0.3, 0.8), (3, 7, 0.2, 0.95)])
+    def test_one_bisection_per_root(self, monkeypatch, m1, m2, falling, rising):
+        # F(q, q) = phi'(q) picks the p-bracket on either side of phi's minimum
+        cond = DegeneracyCondition(m1, m2)
+        assert residual(cond, DeformationPoint(falling, falling)) < 0.0
+        assert residual(cond, DeformationPoint(rising, rising)) > 0.0
+        calls = count_bisections(monkeypatch)
+        for q in (0.0, falling, rising):
+            calls.clear()
+            assert solve_p_for_q(cond, q) is not None
+            assert len(calls) == 1, (cond, q, calls)
+
+    def test_no_bisection_without_an_interior_root(self, monkeypatch):
+        calls = count_bisections(monkeypatch)
+        assert solve_p_for_q(DegeneracyCondition(0, 2), 0.9) is None  # past q_m
+        assert solve_p_for_q(DegeneracyCondition(1, 2), 1.0) == 0.0
+        assert solve_p_for_q(DegeneracyCondition(3, 7), 1.0) == 0.0
+        assert calls == []
 
     def test_rejects_bad_q(self):
         cond = DegeneracyCondition(0, 2)
@@ -288,7 +320,7 @@ class TestTrace:
         monkeypatch.setattr("qposc.degeneracy._ON_CURVE_TOL", 1.0)
         with pytest.raises(ConsistencyError,
                            match=r"lost at q=0\.675: F\(q, p\) > 0 at both ends of "
-                                 r"\[0, x\*=0\.33.*\], F\(q, 0\) = 0\.131"):
+                                 r"\[0, q\], F\(q, 0\) = 0\.131"):
             trace_curve(DegeneracyCondition(0, 2), 5)
 
     def test_trace_is_frozen_record(self):

@@ -8,8 +8,8 @@ import pytest
 
 from qposc import (CustomFamily, DeformationPoint, DomainError, ExpFamily,
                    LogFamily, PowerFamily, energy_level, family_energy,
-                   family_p, parse_family, solve_degeneracy_on_family,
-                   validate_family)
+                   family_p, intercept_curve, parse_family, profile,
+                   solve_degeneracy_on_family, validate_family)
 from qposc import DegeneracyCondition as Cond
 
 
@@ -65,6 +65,15 @@ class TestFamilyMaps:
         for bad in ("power", "poly:2", "power:x", "", "log:"):
             with pytest.raises(ValueError):
                 parse_family(bad)
+
+    def test_members_compare_by_value(self):
+        assert PowerFamily(2) == PowerFamily(2.0)
+        assert PowerFamily(1) != ExpFamily(1)
+        assert len({LogFamily(2), LogFamily(2)}) == 1
+
+    def test_records_holding_a_member_compare_by_value(self):
+        assert intercept_curve(ExpFamily(0.5), 5) == intercept_curve(ExpFamily(0.5), 5)
+        assert profile(ExpFamily(0.5), 0.88, 50) == profile(ExpFamily(0.5), 0.88, 50)
 
 
 class TestValidation:
@@ -151,6 +160,14 @@ class TestDegeneracySolve:
         assert abs(q_star - want) / want < 1e-12, (q_star, want)
         gap = family_energy(fam, m2, q_star) - family_energy(fam, m1, q_star)
         assert abs(gap) < 1e-12
+
+    @pytest.mark.parametrize("fam, m1, m2", [(PowerFamily(1e-8), 0, 65),
+                                             (PowerFamily(5e-324), 1, 2)])
+    def test_crossing_below_the_smallest_double_is_a_domain_error(self, fam, m1, m2):
+        # power:1e-8 meets the (0, 65) curve near its p-intercept 0.989, at
+        # q ~ 0.989^(1e8) ~ exp(-1.07e6): the bisection keeps 0.0 as its lower end
+        with pytest.raises(DomainError, match="below the smallest positive double"):
+            solve_degeneracy_on_family(fam, Cond(m1, m2))
 
     def test_diagonal_ground_root(self):
         # p = q turns the E_0 = E_2 residual into 3q^2 + 2q - 1

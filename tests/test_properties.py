@@ -8,8 +8,11 @@ the ranges the families document: power l in (0, 50], log a in
 underflows), exp a in (0, 50].  Power and exp draws start at 2^-52, the
 machine epsilon: for l or a below about 1e-17, f(q) rounds to 1.0 wherever
 the crossing lies, so the double-precision member is the boundary member
-p = 1, which admits nothing (exp) or is solved at q = 0 (power); just above
-2^-52 the crossings already keep few correct digits (CHANGES.md, FOUND).
+p = 1, which admits nothing (exp) or crosses below the smallest positive
+double (power); just above 2^-52 the crossings already keep few correct
+digits (CHANGES.md, FOUND).  A power member meets the k-th ground curve at
+p <= q_k, so at q <= q_k^(1/l): below the smallest positive double once
+l < ln(1/q_k)/745, and there the solver raises DomainError.
 """
 
 import math
@@ -17,8 +20,8 @@ import math
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qposc import (DegeneracyCondition, ExpFamily, LogFamily, PowerFamily,
-                   family_energy, solve_degeneracy_on_family)
+from qposc import (DegeneracyCondition, DomainError, ExpFamily, LogFamily,
+                   PowerFamily, family_energy, peak_level, solve_degeneracy_on_family)
 
 PROPERTY = settings(derandomize=True, max_examples=200, deadline=None)
 
@@ -63,5 +66,25 @@ def test_ground_degeneracy_admitted_iff_member_starts_below_the_curve(fam, k):
     start = max(member_start(fam))  # one of the two coordinates is 0
     # a member that starts on the curve's end is decided by its last digit
     assume(abs(start - q_k) > 1e-12)
-    q_star = solve_degeneracy_on_family(fam, DegeneracyCondition(0, k))
-    assert (q_star is not None) == (start < q_k), (start, q_k, q_star)
+    try:
+        admitted = solve_degeneracy_on_family(fam, DegeneracyCondition(0, k)) is not None
+    except DomainError as exc:
+        assert "below the smallest positive double" in str(exc)
+        admitted = True
+    assert admitted == (start < q_k), (start, q_k)
+
+
+@PROPERTY
+@given(fam=members, m=st.integers(1, 79))
+def test_neighbor_crossings_rise_with_m(fam, m):
+    q_m = solve_degeneracy_on_family(fam, DegeneracyCondition(m, m + 1))
+    q_next = solve_degeneracy_on_family(fam, DegeneracyCondition(m + 1, m + 2))
+    assert q_m < q_next, (q_m, q_next)
+
+
+@PROPERTY
+@given(fam=members, m=st.integers(1, 80))
+def test_spectrum_peaks_at_the_degenerate_pair(fam, m):
+    # E_m = E_{m+1} at q(m) puts the maximum of E_n on one of the two levels
+    q_star = solve_degeneracy_on_family(fam, DegeneracyCondition(m, m + 1))
+    assert peak_level(fam, q_star) in (m, m + 1), q_star
