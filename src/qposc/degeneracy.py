@@ -18,6 +18,16 @@ most one p solves F(q, p) = 0: in [q, 1] when F(q, q) <= 0 (q on the
 falling branch) and in [0, q] otherwise.  On its extent each curve is the
 graph of a continuous, decreasing function p(q) with slope
 -(dF/dq) / (dF/dp), which equals phi'(q) / phi'(p) off the diagonal.
+
+On (0, 1), -phi(x) = (1 + x) x^m1 (1 - x^d) > 0 with d = m2 - m1, so
+
+    L(x) = ln(-phi(x)) = log1p(x) + m1 ln x + ln(-expm1(d ln x))
+
+costs O(1) for every pair, is concave, and peaks where phi has its minimum.
+Off the diagonal the curve is L(p) = L(q), and
+sign F(q, p) = sign((L(p) - L(q)) / (q - p)).  solve_p_for_q estimates p by
+Newton on L and leaves the last word to F: the root it returns is one of
+two adjacent floats at which F computes to opposite signs.
 """
 
 import math
@@ -94,6 +104,72 @@ def residual(cond, point):
     return _residual_raw(cond, point.q, point.p)
 
 
+def _log_neg_phi(cond, x):
+    """L(x) = ln(-phi(x)) and L'(x) for 0 < x < 1, in O(1) for every pair:
+    -phi(x) = (1 + x) x^m1 (1 - x^d) > 0 with d = m2 - m1."""
+    d, lx = cond.m2 - cond.m1, math.log(x)
+    tail = -math.expm1(d * lx)  # 1 - x^d without cancellation
+    return (math.log1p(x) + cond.m1 * lx + math.log(tail),
+            1.0 / (1.0 + x) + (cond.m1 - d * x ** d / tail) / x)
+
+
+def _estimate_p(cond, q, lo, hi):
+    """Newton's estimate of the p in [lo, hi] with L(p) = L(q), 0 < q < 1, or
+    None where it cannot start.
+
+    L is concave on (0, 1), so Newton moves monotonically towards the root
+    from the side it starts on: beyond the root on [q, 1], below it on
+    [0, q].  The start is on that side by a bound on L: L(p) < ln(2d(1 - p))
+    on [q, 1], L(p) < log1p(q) + m1 ln p on [0, q] for m1 > 0, and
+    L(p) < log1p(p) for m1 = 0.  Steps stop when they no longer move the
+    estimate that way, or leave the bracket; F decides the root.
+    """
+    lq = _log_neg_phi(cond, q)[0]
+    if lo == q:  # [q, 1]: q is on the falling branch of phi
+        x, s = 1.0 - math.exp(lq) / (2 * (cond.m2 - cond.m1)), -1.0
+    elif cond.m1:
+        x, s = math.exp((lq - math.log1p(q)) / cond.m1), 1.0
+    else:
+        x, s = math.expm1(lq), 1.0
+    if x == hi:  # the start rounds to the bracket end, e.g. p = 1.0
+        return x
+    if not lo < x < hi:
+        return None
+    for _ in range(64):  # a cap, not a tolerance: F certifies what is left
+        lx, dl = _log_neg_phi(cond, x)
+        if not s * dl > 0.0:
+            break
+        x_next = x + (lq - lx) / dl
+        if not (s * (x_next - x) > 0.0 and lo < x_next < hi):
+            break
+        x = x_next
+    return x
+
+
+def _certified_bracket(f, p, lo, hi):
+    """Shrink the bracket f(lo) <= 0 < f(hi) to one around the estimate p.
+
+    Trial ends p -+ k ulps, k = 4, 256, ... (x64), are evaluated while they
+    lie inside [lo, hi]; each one becomes the end whose sign it has.  The
+    given ends are never evaluated.
+    """
+    w = 4.0 * math.ulp(p)
+    while True:
+        a, b = p - w, p + w
+        w *= 64.0
+        if lo < a:
+            if f(a) > 0.0:
+                hi = a  # the root lies below p - w
+                continue
+            lo = a
+        if b < hi:
+            if f(b) <= 0.0:
+                lo = b  # the root lies above p + w
+                continue
+            hi = b
+        return lo, hi
+
+
 def solve_p_for_q(cond, q) -> Optional[float]:
     """The unique p in [0, 1] with residual(cond, (q, p)) == 0, or None.
 
@@ -106,6 +182,12 @@ def solve_p_for_q(cond, q) -> Optional[float]:
     interior root: a ground curve past its endpoint q_m.  Within a few ulps
     of phi's minimum rounding can pick the wrong branch; the bisection then
     ends next to q, which is the root there.  The pair (0, 1) has no curve.
+
+    For 0 < q < 1, Newton on L(p) = L(q) estimates the root (_estimate_p)
+    and F certifies it on a bracket a few ulps wide (_certified_bracket)
+    before the bisection: about 7 evaluations of F per root instead of ~54.
+    At q = 0, where L(q) is undefined, or where Newton has no start, the
+    whole bracket is bisected.
     """
     q = float(q)
     if not (math.isfinite(q) and 0.0 <= q <= 1.0):
@@ -123,6 +205,9 @@ def solve_p_for_q(cond, q) -> Optional[float]:
         if f0 >= 0.0:  # past q_m, or F(q, 0) == 0 at q = q_m or q = 1
             return None if f0 > 0.0 else 0.0
         lo, hi = 0.0, q
+    p = _estimate_p(cond, q, lo, hi) if 0.0 < q < 1.0 else None
+    if p is not None:
+        lo, hi = _certified_bracket(f, p, lo, hi)
     lo, hi = bisect_bracket(f, lo, hi)
     return 0.5 * (lo + hi)
 

@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import qposc.degeneracy
 from qposc import (ConsistencyError, CurveTrace, DeformationPoint,
                    DegeneracyCondition, DomainError, endpoint_q, energy_level,
                    implicit_derivative, residual, solve_p_for_q, trace_curve)
@@ -158,6 +159,28 @@ class TestSolveP:
         assert solve_p_for_q(DegeneracyCondition(1, 2), 1.0) == 0.0
         assert solve_p_for_q(DegeneracyCondition(3, 7), 1.0) == 0.0
         assert calls == []
+
+    def test_few_residual_evaluations_per_root(self, monkeypatch):
+        # Newton on ln(-phi) lands within a few ulps of the root, so F only
+        # certifies and finishes it; bisecting the whole bracket takes ~54
+        raw = qposc.degeneracy._residual_raw
+        calls = []
+
+        def counting(cond, q, p):
+            calls.append(p)
+            return raw(cond, q, p)
+
+        grids = {}
+        for m1, m2 in ((0, 2), (1, 2), (7, 8), (12, 13), (39, 40), (2, 40)):
+            cond = DegeneracyCondition(m1, m2)
+            q_hi = endpoint_q(cond) if cond.kind == "ground" else 1.0
+            grids[cond] = [q_hi * i / 999 for i in range(1, 999)]  # trace_curve's, 1000 samples
+        monkeypatch.setattr("qposc.degeneracy._residual_raw", counting)
+        for cond, qs in grids.items():
+            calls.clear()
+            for q in qs:
+                assert solve_p_for_q(cond, q) is not None
+            assert len(calls) / len(qs) <= 12, (cond, len(calls) / len(qs))
 
     def test_rejects_bad_q(self):
         cond = DegeneracyCondition(0, 2)

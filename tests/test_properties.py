@@ -13,6 +13,9 @@ double (power); just above 2^-52 the crossings already keep few correct
 digits (CHANGES.md, FOUND).  A power member meets the k-th ground curve at
 p <= q_k, so at q <= q_k^(1/l): below the smallest positive double once
 l < ln(1/q_k)/745, and there the solver raises DomainError.
+
+The last two tests check the curve inversion that all of these rest on:
+every p that solve_p_for_q returns is certified by the residual itself.
 """
 
 import math
@@ -20,8 +23,9 @@ import math
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qposc import (DegeneracyCondition, DomainError, ExpFamily, LogFamily,
-                   PowerFamily, family_energy, peak_level, solve_degeneracy_on_family)
+from qposc import (DeformationPoint, DegeneracyCondition, DomainError, ExpFamily,
+                   LogFamily, PowerFamily, endpoint_q, family_energy, peak_level, residual,
+                   solve_degeneracy_on_family, solve_p_for_q)
 
 PROPERTY = settings(derandomize=True, max_examples=200, deadline=None)
 
@@ -88,3 +92,60 @@ def test_spectrum_peaks_at_the_degenerate_pair(fam, m):
     # E_m = E_{m+1} at q(m) puts the maximum of E_n on one of the two levels
     q_star = solve_degeneracy_on_family(fam, DegeneracyCondition(m, m + 1))
     assert peak_level(fam, q_star) in (m, m + 1), q_star
+
+
+pairs = st.integers(1, 80).flatmap(lambda m2: st.tuples(st.integers(0, m2 - 1), st.just(m2)))
+
+
+def certified(cond, q, p):
+    """p is one of two adjacent floats a < b with F(q, a) <= 0 < F(q, b).
+
+    An end at 0 or 1 is a branch end, whose sign the solver states from the
+    model instead of computing it (F(q, 1) > 0 can underflow to 0.0)."""
+    def F(x):
+        return residual(cond, DeformationPoint(q, x))
+
+    below, above = math.nextafter(p, 0.0), math.nextafter(p, 1.0)
+    return any(a < b and (a == 0.0 or F(a) <= 0.0) and (b == 1.0 or F(b) > 0.0)
+               for a, b in ((below, p), (p, above)))
+
+
+@PROPERTY
+@given(pair=pairs, q=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_the_residual_certifies_every_curve_point(pair, q):
+    cond = DegeneracyCondition(*pair)
+    p = solve_p_for_q(cond, q)
+    if p is None:  # only a ground curve (or (0, 1), which has none) stops short of q = 1
+        assert cond.m1 == 0 and residual(cond, DeformationPoint(q, 0.0)) > 0.0
+    else:
+        assert certified(cond, q, p), (q, p)
+
+
+def test_the_residual_certifies_the_diagonal_crossing_and_the_curve_ends():
+    # within 40 ulps of x* = sqrt(m / (m + 2)) the root is next to q, where
+    # rounding alone sets the sign of F; near the (0, 1) corner the true
+    # 1 - p, about (1 + q) q^m (1 - q) / 2, is below 1e-16 (60-digit mpmath:
+    # 2.7e-19 at q = 30/999 for m = 12, 1.0e-21 at q = 295/999 for m = 39)
+    for m in (1, 2, 5, 12, 39):
+        cond = DegeneracyCondition(m, m + 1)
+        q = math.sqrt(m / (m + 2))
+        for _ in range(40):
+            q = math.nextafter(q, 0.0)
+        for _ in range(81):
+            assert certified(cond, q, solve_p_for_q(cond, q)), (cond, q)
+            q = math.nextafter(q, 1.0)
+    for m, qs in ((12, range(1, 31)), (39, range(1, 300, 7))):
+        cond = DegeneracyCondition(m, m + 1)
+        for q in (i / 999 for i in qs):
+            p = solve_p_for_q(cond, q)
+            assert p >= math.nextafter(1.0, 0.0) and certified(cond, q, p), (cond, q, p)
+    # from a ground curve's end q_k down, p falls towards 0, and at some of
+    # these q L(q) computes to <= L(0) = 0 (e.g. (0, 8) at the computed q_k,
+    # 0.9115923534820549), so Newton has no start there
+    for k in (8, 14, 18, 32):
+        cond = DegeneracyCondition(0, k)
+        q = endpoint_q(cond)
+        for _ in range(200):
+            p = solve_p_for_q(cond, q)
+            assert p is None or certified(cond, q, p), (cond, q, p)
+            q = math.nextafter(q, 0.0)
