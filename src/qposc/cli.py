@@ -60,8 +60,8 @@ def _validated_family(text):
     fam = parse_family(text)
     report = validate_family(fam)
     if not report.passed:
-        first = report.violations[0] if report.violations else ("?", "unknown")
-        raise DomainError(f"{fam.label} is not admissible: {first[1]} at q={first[0]}")
+        q, reason = report.violations[0]  # add() keeps the first _CAP of them
+        raise DomainError(f"{fam.label} is not admissible: {reason} at q={q}")
     return fam
 
 

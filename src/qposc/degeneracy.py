@@ -25,14 +25,15 @@ On (0, 1), -phi(x) = (1 + x) x^m1 (1 - x^d) > 0 with d = m2 - m1, so
 
 costs O(1) for every pair, is concave, and peaks where phi has its minimum.
 Off the diagonal the curve is L(p) = L(q), and
-sign F(q, p) = sign((L(p) - L(q)) / (q - p)).  solve_p_for_q estimates p by
-Newton on L and leaves the last word to F: the root it returns is one of
-two adjacent floats at which F computes to opposite signs.
+sign F(q, p) = sign((L(p) - L(q)) / (q - p)).  Every p-root, endpoint_q's
+too, is estimated by Newton on L, and F has the last word: the root is one
+of two adjacent floats at which F computes to opposite signs.
 """
 
 import math
 import operator
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate, repeat
 from numbers import Integral
 from typing import NamedTuple, Optional
@@ -114,17 +115,19 @@ def _log_neg_phi(cond, x):
 
 
 def _estimate_p(cond, q, lo, hi):
-    """Newton's estimate of the p in [lo, hi] with L(p) = L(q), 0 < q < 1, or
-    None where it cannot start.
+    """Newton's estimate of the p in [lo, hi] with L(p) = L(q), 0 <= q < 1,
+    or None where it cannot start.
 
     L is concave on (0, 1), so Newton moves monotonically towards the root
     from the side it starts on: beyond the root on [q, 1], below it on
     [0, q].  The start is on that side by a bound on L: L(p) < ln(2d(1 - p))
     on [q, 1], L(p) < log1p(q) + m1 ln p on [0, q] for m1 > 0, and
     L(p) < log1p(p) for m1 = 0.  Steps stop when they no longer move the
-    estimate that way, or leave the bracket; F decides the root.
+    estimate that way, or leave the bracket; F decides the root.  L(0) is
+    closed-form: 0 for a ground pair (-phi(0) = 1), else -inf, where the
+    start rounds to hi = 1.0, the root, as F(0, p) <= 0 on [0, 1).
     """
-    lq = _log_neg_phi(cond, q)[0]
+    lq = (-math.inf if cond.m1 else 0.0) if q == 0.0 else _log_neg_phi(cond, q)[0]
     if lo == q:  # [q, 1]: q is on the falling branch of phi
         x, s = 1.0 - math.exp(lq) / (2 * (cond.m2 - cond.m1)), -1.0
     elif cond.m1:
@@ -170,24 +173,29 @@ def _certified_bracket(f, p, lo, hi):
         return lo, hi
 
 
+def _root(f, cond, q, lo, hi):
+    """bisect_bracket on f = F(q, .), from Newton's certified estimate if any."""
+    p = _estimate_p(cond, q, lo, hi)
+    if p is not None:
+        lo, hi = _certified_bracket(f, p, lo, hi)
+    return bisect_bracket(f, lo, hi)
+
+
 def solve_p_for_q(cond, q) -> Optional[float]:
     """The unique p in [0, 1] with residual(cond, (q, p)) == 0, or None.
 
     F(q, .) rises through its root on the p-bracket that the computed sign
     of F(q, q) = phi'(q) picks (see the module docstring).  On the falling
     branch, F(q, q) <= 0, the bracket is [q, 1]: F(q, 1) = phi(q) / (q - 1)
-    is stated positive, not computed (it is for 0 < q < 1; at q = 0 it may
-    vanish, and then p = 1 is the root the bisection ends on).  On the
-    rising branch the bracket is [0, q], and only F(q, 0) >= 0 leaves no
-    interior root: a ground curve past its endpoint q_m.  Within a few ulps
-    of phi's minimum rounding can pick the wrong branch; the bisection then
-    ends next to q, which is the root there.  The pair (0, 1) has no curve.
+    is stated positive, not computed (it may vanish at q = 0, where p = 1 is
+    the root).  On the rising branch the bracket is [0, q], and only
+    F(q, 0) >= 0 leaves no interior root: a ground curve past its endpoint
+    q_m.  Within a few ulps of phi's minimum rounding can pick the wrong
+    branch; the bisection then ends next to q, which is the root there.
 
-    For 0 < q < 1, Newton on L(p) = L(q) estimates the root (_estimate_p)
-    and F certifies it on a bracket a few ulps wide (_certified_bracket)
-    before the bisection: about 7 evaluations of F per root instead of ~54.
-    At q = 0, where L(q) is undefined, or where Newton has no start, the
-    whole bracket is bisected.
+    Newton on L(p) = L(q) estimates the root and F certifies it a few ulps
+    wide before the bisection (_root): about 7 evaluations of F per root.
+    Only where Newton has no start is the whole bracket bisected.
     """
     q = float(q)
     if not (math.isfinite(q) and 0.0 <= q <= 1.0):
@@ -195,9 +203,7 @@ def solve_p_for_q(cond, q) -> Optional[float]:
     if (cond.m1, cond.m2) == (0, 1):
         return None  # E_1 - E_0 = (q + p)/2 > 0 on the whole admissible square
 
-    def f(p):
-        return _residual_raw(cond, q, p)
-
+    f = partial(_residual_raw, cond, q)
     if f(q) <= 0.0:
         lo, hi = q, 1.0
     else:
@@ -205,10 +211,7 @@ def solve_p_for_q(cond, q) -> Optional[float]:
         if f0 >= 0.0:  # past q_m, or F(q, 0) == 0 at q = q_m or q = 1
             return None if f0 > 0.0 else 0.0
         lo, hi = 0.0, q
-    p = _estimate_p(cond, q, lo, hi) if 0.0 < q < 1.0 else None
-    if p is not None:
-        lo, hi = _certified_bracket(f, p, lo, hi)
-    lo, hi = bisect_bracket(f, lo, hi)
+    lo, hi = _root(f, cond, q, lo, hi)
     return 0.5 * (lo + hi)
 
 
@@ -242,14 +245,15 @@ def implicit_derivative(cond, point):
 def endpoint_q(cond):
     """Largest q reached by a ground-type curve: the root of q^m + q^(m-1) = 1.
 
-    By the q <-> p symmetry this also equals the p-axis endpoint.  The lower
-    end of the bisected bracket of F(q, 0) = q^m + q^(m-1) - 1 is returned,
-    so F(q_m, 0) <= 0 in the very sum that solve_p_for_q evaluates.
+    It is the q = 0 p-root of its pair, found on solve_p_for_q's path; the
+    lower end is returned, so F(q_m, 0) <= 0 in the sum solve_p_for_q sees.
+    F(x, 0) = x^m + x^(m-1) - 1, bit for bit F(0, x), is non-decreasing in x
+    (powers by repeated multiplication), so every sign-keeping bracket shrink
+    ends on the one pair of adjacent floats with F(lo, 0) <= 0 < F(hi, 0).
     """
     if cond.kind != GROUND:
         raise DomainError(f"endpoint_q applies to ground-type conditions only, got {cond}")
-    lo, _ = bisect_bracket(lambda x: _residual_raw(cond, x, 0.0), 0.0, 1.0)
-    return lo
+    return _root(lambda x: _residual_raw(cond, x, 0.0), cond, 0.0, 0.0, 1.0)[0]
 
 
 class CurvePoint(NamedTuple):
@@ -280,19 +284,14 @@ def trace_curve(cond, n_samples):
     if (cond.m1, cond.m2) == (0, 1):
         # E_1 - E_0 = (q + p)/2 > 0 on the whole admissible square
         raise DomainError("the pair (0, 1) has no degeneracy locus")
-    if cond.kind == GROUND:
-        q_hi = endpoint_q(cond)
-        p_first = q_hi  # the axis intercepts coincide
-    else:
-        q_hi = 1.0
-        p_first = 1.0
+    q_hi = endpoint_q(cond) if cond.kind == GROUND else 1.0
 
     samples = []
     last = int(n_samples) - 1
     for i in range(n_samples):
         qv = q_hi * i / last
         if i == 0:
-            pv = p_first
+            pv = q_hi  # the axis intercepts coincide
         elif i == last:
             qv, pv = q_hi, 0.0
         else:

@@ -9,8 +9,9 @@ import pytest
 
 import qposc.degeneracy
 from qposc import (ConsistencyError, CurveTrace, DeformationPoint,
-                   DegeneracyCondition, DomainError, endpoint_q, energy_level,
-                   implicit_derivative, residual, solve_p_for_q, trace_curve)
+                   DegeneracyCondition, DomainError, PowerFamily, endpoint_q,
+                   energy_level, implicit_derivative, residual,
+                   solve_degeneracy_on_family, solve_p_for_q, trace_curve)
 from qposc.roots import bisect_bracket
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -106,6 +107,21 @@ def count_bisections(monkeypatch):
     return calls
 
 
+def count_residuals(monkeypatch):
+    """Record the p of every residual evaluation, in degeneracy and in
+    families, which imports the name."""
+    raw = qposc.degeneracy._residual_raw
+    calls = []
+
+    def counting(cond, q, p):
+        calls.append(p)
+        return raw(cond, q, p)
+
+    monkeypatch.setattr("qposc.degeneracy._residual_raw", counting)
+    monkeypatch.setattr("qposc.families._residual_raw", counting)
+    return calls
+
+
 class TestSolveP:
     def test_axis_and_interior_values(self):
         cond = DegeneracyCondition(0, 2)
@@ -163,19 +179,12 @@ class TestSolveP:
     def test_few_residual_evaluations_per_root(self, monkeypatch):
         # Newton on ln(-phi) lands within a few ulps of the root, so F only
         # certifies and finishes it; bisecting the whole bracket takes ~54
-        raw = qposc.degeneracy._residual_raw
-        calls = []
-
-        def counting(cond, q, p):
-            calls.append(p)
-            return raw(cond, q, p)
-
         grids = {}
         for m1, m2 in ((0, 2), (1, 2), (7, 8), (12, 13), (39, 40), (2, 40)):
             cond = DegeneracyCondition(m1, m2)
             q_hi = endpoint_q(cond) if cond.kind == "ground" else 1.0
             grids[cond] = [q_hi * i / 999 for i in range(1, 999)]  # trace_curve's, 1000 samples
-        monkeypatch.setattr("qposc.degeneracy._residual_raw", counting)
+        calls = count_residuals(monkeypatch)
         for cond, qs in grids.items():
             calls.clear()
             for q in qs:
@@ -408,6 +417,38 @@ class TestRootHelpers:
             want = mpmath.findroot(lambda x: x ** m + x ** (m - 1) - 1, (0.5, 1), solver="anderson")
             err = abs(mpmath.mpf(endpoint_q(DegeneracyCondition(0, m))) - want)
             assert err <= 2 * math.ulp(float(want)), float(err)
+
+    def test_curve_ends_take_few_residual_evaluations(self, monkeypatch):
+        # q_m and the q = 0 p-roots start from Newton too; bisecting the whole
+        # bracket took 53 and 54 evaluations, and the family solve 108
+        calls = count_residuals(monkeypatch)
+        for m in (2, 3, 8, 14, 18, 32, 40, 60):
+            calls.clear()
+            endpoint_q(DegeneracyCondition(0, m))
+            assert len(calls) <= 12, (m, len(calls))
+        for m1, m2 in ((0, 2), (1, 2), (3, 7), (12, 13), (39, 40)):
+            calls.clear()
+            assert solve_p_for_q(DegeneracyCondition(m1, m2), 0.0) is not None
+            assert len(calls) <= 12, ((m1, m2), len(calls))
+        # g(0) computes to 0.0 here, so admission asks for the q = 0 p-root
+        calls.clear()
+        assert solve_degeneracy_on_family(PowerFamily(2.5), DegeneracyCondition(3, 7)) is not None
+        assert len(calls) <= 70, len(calls)
+
+    def test_curve_ends_match_a_whole_bracket_bisection(self):
+        # The computed F(x, 0) = fsum(x^m, x^(m-1), -1) is non-decreasing in x,
+        # its powers coming from repeated multiplication, so exactly one pair
+        # of adjacent floats has F(lo, 0) <= 0 < F(hi, 0) and every bracket
+        # shrink that keeps those signs ends on it.  For m1 >= 1 the computed
+        # F(0, p) is <= 0 on [0, 1), so the q = 0 p-root is 1.0 on any path.
+        for m in range(2, 121):
+            cond = DegeneracyCondition(0, m)
+            lo, _ = bisect_bracket(lambda x: qposc.degeneracy._residual_raw(cond, x, 0.0),
+                                   0.0, 1.0)
+            assert endpoint_q(cond) == lo, m
+        for m2 in range(2, 41):
+            for m1 in range(1, m2):
+                assert solve_p_for_q(DegeneracyCondition(m1, m2), 0.0) == 1.0, (m1, m2)
 
     def test_bisect_bracket_refines(self):
         lo, hi = bisect_bracket(lambda x: x * x - 0.25, 0.0, 1.0)
