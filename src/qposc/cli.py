@@ -5,6 +5,10 @@ Subcommands: curve, solve, spectrum, intercept, fock.  Output is CSV with
 numbers are printed as shortest 12-significant-digit decimals with LF line
 endings, so identical invocations produce byte-identical output.
 
+Each _cmd_* handler returns its table as (header params, body lines), and
+main writes it once, to stdout or --out, after the handler has returned:
+nothing is written unless the command succeeds.
+
 Exit codes: 0 success, 1 usage/parse error, 2 domain error, 3 solver
 consistency error.
 """
@@ -23,26 +27,11 @@ from .spectrum import profile
 
 
 def _fmt(x):
-    if isinstance(x, str):
-        return x
-    if isinstance(x, int):
-        return str(x)
     return f"{x + 0.0:.12g}"  # + 0.0 folds -0.0 into 0
 
 
-def _header(command, params):
-    lines = [f"# qposc {command}", f"# version: {__version__}"]
-    lines += [f"# {key}: {value}" for key, value in params]
-    return lines
-
-
-def _emit(lines, out_path):
-    text = "\n".join(lines) + "\n"
-    if out_path:
-        with open(out_path, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _row(values):
+    return ",".join(_fmt(v) for v in values)
 
 
 def _parse_levels(text):
@@ -67,70 +56,46 @@ def _validated_family(text):
 
 def _cmd_curve(args):
     cond = _parse_levels(args.levels)
-    trace = trace_curve(cond, args.samples)
-    lines = _header("curve", [("levels", f"{cond.m1},{cond.m2}"),
-                              ("samples", args.samples)])
-    lines.append("q,p,dpdq")
-    for sample in trace.samples:
-        lines.append(",".join(_fmt(v) for v in sample))
-    _emit(lines, args.out)
+    rows = [_row(sample) for sample in trace_curve(cond, args.samples).samples]
+    return [("levels", f"{cond.m1},{cond.m2}"), ("samples", args.samples)], ["q,p,dpdq"] + rows
 
 
 def _cmd_solve(args):
     cond = _parse_levels(args.levels)
     fam = _validated_family(args.family)
     q_star = solve_degeneracy_on_family(fam, cond)
-    lines = _header("solve", [("levels", f"{cond.m1},{cond.m2}"),
-                              ("family", fam.label)])
-    lines.append("q_star,p_star,E_m1,E_m2")
-    if q_star is None:
-        lines.append("none")
-    else:
-        row = (q_star, family_p(fam, q_star),
-               family_energy(fam, cond.m1, q_star),
-               family_energy(fam, cond.m2, q_star))
-        lines.append(",".join(_fmt(v) for v in row))
-    _emit(lines, args.out)
+    row = "none"
+    if q_star is not None:
+        row = _row((q_star, family_p(fam, q_star), family_energy(fam, cond.m1, q_star),
+                    family_energy(fam, cond.m2, q_star)))
+    params = [("levels", f"{cond.m1},{cond.m2}"), ("family", fam.label)]
+    return params, ["q_star,p_star,E_m1,E_m2", row]
 
 
 def _cmd_spectrum(args):
     fam = _validated_family(args.family)
-    point = DeformationPoint(args.q, family_p(fam, args.q))
-    energies = energy_spectrum(args.n_max, point)
-    lines = _header("spectrum", [("family", fam.label), ("q", _fmt(args.q)),
-                                 ("n_max", args.n_max)])
-    lines.append("n,E_n")
-    for n, e in enumerate(energies):
-        lines.append(f"{n},{_fmt(e)}")
+    energies = energy_spectrum(args.n_max, DeformationPoint(args.q, family_p(fam, args.q)))
+    body = ["n,E_n"] + [f"{n},{_fmt(e)}" for n, e in enumerate(energies)]
+    peak = "none"  # the q = 1 spectrum is linear, no peak
     if args.q < 1.0 and args.n_max >= 2:
         peak = profile(fam, args.q, args.n_max).peak_index
-        lines.append(f"# n0={peak}")
-    else:
-        lines.append("# n0=none")  # the q = 1 spectrum is linear, no peak
-    _emit(lines, args.out)
+    body.append(f"# n0={peak}")
+    return [("family", fam.label), ("q", _fmt(args.q)), ("n_max", args.n_max)], body
 
 
 def _cmd_intercept(args):
     fam = _validated_family(args.family)
     curve = intercept_curve(fam, args.samples)
-    lines = _header("intercept", [("family", fam.label), ("samples", args.samples)])
-    lines.append(f"# form: {'extrapolated' if curve.extrapolated else 'exact'}")
-    lines.append("q,lambda")
-    for q, lam in curve.samples:
-        lines.append(f"{_fmt(q)},{_fmt(lam)}")
-    _emit(lines, args.out)
+    body = [f"# form: {'extrapolated' if curve.extrapolated else 'exact'}", "q,lambda"]
+    body += [_row(sample) for sample in curve.samples]
+    return [("family", fam.label), ("samples", args.samples)], body
 
 
 def _cmd_fock(args):
     point = DeformationPoint(args.q, args.p)
-    rep = fock_rep(args.dim, point)
-    r1, r2 = fock_residuals(rep, point)
-    lines = _header("fock", [("dim", args.dim), ("q", _fmt(args.q)),
-                             ("p", _fmt(args.p))])
-    lines.append("relation,max_residual")
-    lines.append(f"1,{_fmt(r1)}")
-    lines.append(f"2,{_fmt(r2)}")
-    _emit(lines, args.out)
+    r1, r2 = fock_residuals(fock_rep(args.dim, point), point)
+    params = [("dim", args.dim), ("q", _fmt(args.q)), ("p", _fmt(args.p))]
+    return params, ["relation,max_residual", f"1,{_fmt(r1)}", f"2,{_fmt(r2)}"]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -149,41 +114,39 @@ def _build_parser():
     curve = sub.add_parser("curve", help="trace a degeneracy curve as (q, p, dp/dq) rows")
     curve.add_argument("--levels", required=True, help="level pair, e.g. 0,2")
     curve.add_argument("--samples", type=int, default=100)
-    curve.add_argument("--out", default=None)
     curve.set_defaults(handler=_cmd_curve)
 
     solve = sub.add_parser("solve", help="deformation value giving a degeneracy on a family")
     solve.add_argument("--levels", required=True)
     solve.add_argument("--family", required=True, help="power:<l> | log:<alpha> | exp:<alpha>")
-    solve.add_argument("--out", default=None)
     solve.set_defaults(handler=_cmd_solve)
 
     spectrum = sub.add_parser("spectrum", help="energy levels (n, E_n) of a family member")
     spectrum.add_argument("--family", required=True)
     spectrum.add_argument("--q", type=float, required=True)
     spectrum.add_argument("--n-max", dest="n_max", type=int, default=200)
-    spectrum.add_argument("--out", default=None)
     spectrum.set_defaults(handler=_cmd_spectrum)
 
     intercept = sub.add_parser("intercept", help="asymptotic correlation intercept over q")
     intercept.add_argument("--family", required=True)
     intercept.add_argument("--samples", type=int, default=101)
-    intercept.add_argument("--out", default=None)
     intercept.set_defaults(handler=_cmd_intercept)
 
     fock = sub.add_parser("fock", help="ladder-relation residuals of the truncated matrices")
     fock.add_argument("--dim", type=int, required=True)
     fock.add_argument("--q", type=float, required=True)
     fock.add_argument("--p", type=float, required=True)
-    fock.add_argument("--out", default=None)
     fock.set_defaults(handler=_cmd_fock)
+
+    for command in sub.choices.values():  # last, so --help lists it last
+        command.add_argument("--out")
     return parser
 
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        args.handler(args)
+        params, body = args.handler(args)
     except DomainError as exc:
         print(f"qposc: domain error: {exc}", file=sys.stderr)
         return 2
@@ -193,6 +156,13 @@ def main(argv=None):
     except ValueError as exc:
         print(f"qposc: {exc}", file=sys.stderr)
         return 1
+    head = [f"# qposc {args.command}", f"# version: {__version__}"]
+    text = "\n".join(head + [f"# {key}: {value}" for key, value in params] + body) + "\n"
+    if args.out:
+        with open(args.out, "w", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
     return 0
 
 

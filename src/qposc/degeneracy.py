@@ -229,17 +229,19 @@ def _slope(cond, q, p):
 def implicit_derivative(cond, point):
     """Curve slope dp/dq = -(dF/dq)/(dF/dp) at a point on the curve.
 
-    The point must satisfy |residual| < 1e-8; a vanishing dF/dp (vertical
-    tangent, reached only at extent endpoints) is rejected.
+    The point must satisfy |residual| < 1e-8.  A vanishing dF/dp is
+    rejected: a vertical tangent at an extent endpoint, or partials that
+    underflow to 0 together with F, as at q = 0 with p tiny.
     """
-    r = _residual_raw(cond, point.q, point.p)
+    q, p = point.q, point.p
+    r = _residual_raw(cond, q, p)
     if abs(r) >= _ON_CURVE_TOL:
-        raise DomainError(f"point ({point.q}, {point.p}) is not on the {cond} curve "
+        raise DomainError(f"point ({q}, {p}) is not on the {cond} curve "
                           f"(|residual| = {abs(r):.3g})")
-    slope = _slope(cond, point.q, point.p)
-    if math.isinf(slope):
-        raise DomainError(f"vertical tangent at ({point.q}, {point.p}): dF/dp vanishes")
-    return slope
+    dq, dp = _residual_dq(cond, q, p), _residual_dq(cond, p, q)
+    if dp == 0.0:
+        raise DomainError(f"no finite slope at ({q}, {p}): dF/dq = {dq:.3g}, dF/dp = 0")
+    return -dq / dp + 0.0  # + 0.0 normalizes -0.0
 
 
 def endpoint_q(cond):

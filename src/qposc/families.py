@@ -182,30 +182,21 @@ def solve_degeneracy_on_family(fam, cond):
     that degeneracy.
 
     The family must be admissible (validate_family): a non-decreasing line
-    p = f(q) then crosses the decreasing curve at most once, so the composed
-    residual g(q) = F(q, f(q)) changes sign at most once on [domain_low, 1],
-    where g(1) = 2 (m2 - m1) > 0.  The member admits the degeneracy iff it
-    starts below the curve, g(domain_low) < 0, and one bisection of g finds
-    the crossing.  A computed g(domain_low) == 0.0 is a touch on the boundary
-    (p = 1 at the (0, 1) corner, where the spectrum above E_0 collapses, or
-    the (0, 0) corner) or an underflowed negative value: there the curve
-    decides, by f(domain_low) < p(domain_low) on the curve.  A crossing
-    below the smallest positive double, where the bracket keeps its lower
-    end 0.0, raises DomainError.
+    p = f(q) then crosses the decreasing curve at most once.  The member
+    admits the degeneracy iff it starts below the curve: the curve has a p
+    at q = domain_low (solve_p_for_q) and f(domain_low) lies below it.  By
+    (q - p) F(q, p) = phi(q) - phi(p), F(q, .) is negative below the
+    curve's p and positive above it, so g(q) = F(q, f(q)) then rises
+    through zero once on [domain_low, 1] (g(1) = 2 (m2 - m1) > 0), and one
+    bisection of g finds the crossing.  A crossing below the smallest
+    positive double, where the bracket keeps its lower end 0.0, raises
+    DomainError.
     """
     lo = fam.domain_low
-
-    def g(q):
-        return _residual_raw(cond, q, _p_clamped(fam, q))
-
-    g_lo = g(lo)
-    if g_lo == 0.0:
-        p_curve = solve_p_for_q(cond, lo)
-        if p_curve is None or not _p_clamped(fam, lo) < p_curve:
-            return None
-    elif g_lo > 0.0:
+    p_curve = solve_p_for_q(cond, lo)
+    if p_curve is None or not _p_clamped(fam, lo) < p_curve:
         return None
-    a, b = bisect_bracket(g, lo, 1.0)
+    a, b = bisect_bracket(lambda q: _residual_raw(cond, q, _p_clamped(fam, q)), lo, 1.0)
     if a == 0.0:
         raise DomainError(f"{fam.label} crosses the {cond} curve below the "
                           f"smallest positive double")

@@ -133,17 +133,20 @@ class TestSolveCommand:
 
 README_CLI = Path(__file__).parent / "readme_cli"
 
+# each README example: the name of its pinned table in README_CLI, and its argv
+README_ARGV = [
+    ("curve", ["curve", "--levels", "1,2", "--samples", "2"]),
+    ("solve_power", ["solve", "--levels", "0,2", "--family", "power:1"]),
+    ("solve_log", ["solve", "--levels", "0,2", "--family", "log:6.05"]),
+    ("spectrum", ["spectrum", "--family", "exp:0.5", "--q", "0.01", "--n-max", "10"]),
+    ("intercept", ["intercept", "--family", "exp:0.5", "--samples", "101"]),
+    ("fock", ["fock", "--dim", "8", "--q", "0.5", "--p", "0.25"]),
+]
+
 
 class TestReadmeExamples:
     # the full output of each README example, pinned byte for byte
-    @pytest.mark.parametrize("name, argv", [
-        ("curve", ["curve", "--levels", "1,2", "--samples", "2"]),
-        ("solve_power", ["solve", "--levels", "0,2", "--family", "power:1"]),
-        ("solve_log", ["solve", "--levels", "0,2", "--family", "log:6.05"]),
-        ("spectrum", ["spectrum", "--family", "exp:0.5", "--q", "0.01", "--n-max", "10"]),
-        ("intercept", ["intercept", "--family", "exp:0.5", "--samples", "101"]),
-        ("fock", ["fock", "--dim", "8", "--q", "0.5", "--p", "0.25"]),
-    ])
+    @pytest.mark.parametrize("name, argv", README_ARGV)
     def test_output_is_pinned(self, capsys, name, argv):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
@@ -232,16 +235,27 @@ class TestOutputContract:
         _, second, _ = run_cli(capsys, *args)
         assert first == second
 
-    def test_file_output_matches_stdout(self, capsys, tmp_path):
-        target = tmp_path / "table.csv"
-        _, out, _ = run_cli(capsys, "intercept", "--family", "exp:0.5", "--samples", "7")
-        code = main(["intercept", "--family", "exp:0.5", "--samples", "7",
-                     "--out", str(target)])
-        capsys.readouterr()
-        assert code == 0
+    @pytest.mark.parametrize("name, argv", README_ARGV)
+    def test_file_output_matches_stdout(self, capsys, tmp_path, name, argv):
+        target = tmp_path / f"{name}.csv"
+        _, out, _ = run_cli(capsys, *argv)
+        code, to_stdout, _ = run_cli(capsys, *argv, "--out", str(target))
+        assert (code, to_stdout) == (0, "")
         blob = target.read_bytes()
         assert blob == out.encode()
         assert b"\r" not in blob
+
+    def test_failing_command_writes_nothing(self, capsys, monkeypatch, tmp_path):
+        def boom(cond, n):
+            raise ConsistencyError("forced")
+        monkeypatch.setattr("qposc.cli.trace_curve", boom)  # reached by "0,2" only
+        target = tmp_path / "table.csv"
+        for levels, expected in (("0;2", 1), ("0,0", 2), ("0,2", 3)):
+            for out in ([], ["--out", str(target)]):
+                code, stdout, err = run_cli(capsys, "curve", "--levels", levels, *out)
+                assert (code, stdout) == (expected, "")
+                assert err.startswith("qposc: ")
+                assert not target.exists()
 
     def test_numbers_round_trip_at_twelve_digits(self, capsys):
         _, out, _ = run_cli(capsys, "curve", "--levels", "2,3", "--samples", "15")

@@ -244,6 +244,12 @@ class TestImplicitDerivative:
         with pytest.raises(DomainError):
             implicit_derivative(DegeneracyCondition(2, 3), DeformationPoint(1.0, 0.0))
 
+    def test_underflowed_partials_are_a_domain_error(self):
+        # at (0, 1e-10) F and both partials of (40, 41) underflow to 0: the
+        # point passes the |F| < 1e-8 test but has no slope to report
+        with pytest.raises(DomainError, match="dF/dq = 0, dF/dp = 0"):
+            implicit_derivative(DegeneracyCondition(40, 41), DeformationPoint(0.0, 1e-10))
+
 
 class TestEndpoint:
     def test_golden_section_case(self):
