@@ -74,11 +74,13 @@ def _cmd_solve(args):
 
 def _cmd_spectrum(args):
     fam = _validated_family(args.family)
-    energies = energy_spectrum(args.n_max, DeformationPoint(args.q, family_p(fam, args.q)))
-    body = ["n,E_n"] + [f"{n},{_fmt(e)}" for n, e in enumerate(energies)]
-    peak = "none"  # the q = 1 spectrum is linear, no peak
     if args.q < 1.0 and args.n_max >= 2:
-        peak = profile(fam, args.q, args.n_max).peak_index
+        shape = profile(fam, args.q, args.n_max)
+        energies, peak = shape.energies, shape.peak_index
+    else:  # the q = 1 spectrum is linear, no peak
+        point = DeformationPoint(args.q, family_p(fam, args.q))
+        energies, peak = energy_spectrum(args.n_max, point), "none"
+    body = ["n,E_n"] + [f"{n},{_fmt(e)}" for n, e in enumerate(energies)]
     body.append(f"# n0={peak}")
     return [("family", fam.label), ("q", _fmt(args.q)), ("n_max", args.n_max)], body
 

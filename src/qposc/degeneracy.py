@@ -84,12 +84,15 @@ def _signed_brackets(cond):
     return [(k, sign) for k, sign in terms if (k, -sign) not in terms]
 
 
-def _residual_raw(cond, q, p):
-    """F as one correctly rounded sum (math.fsum) of the monomials
-    q^(k-1-r) p^r of each bracket [[k]]."""
+def _monomials(cond, q, p):
+    """The signed monomials q^(k-1-r) p^r of each bracket [[k]] in F."""
     qp, pp = _pows(q, cond.m2), _pows(p, cond.m2)
-    return math.fsum([sign * qp[k - 1 - r] * pp[r]
-                      for k, sign in _signed_brackets(cond) for r in range(k)])
+    return [sign * qp[k - 1 - r] * pp[r] for k, sign in _signed_brackets(cond) for r in range(k)]
+
+
+def _residual_raw(cond, q, p):
+    """F as one correctly rounded sum (math.fsum) of its monomials."""
+    return math.fsum(_monomials(cond, q, p))
 
 
 def _residual_dq(cond, q, p):
@@ -229,13 +232,16 @@ def _slope(cond, q, p):
 def implicit_derivative(cond, point):
     """Curve slope dp/dq = -(dF/dq)/(dF/dp) at a point on the curve.
 
-    The point must satisfy |residual| < 1e-8.  A vanishing dF/dp is
-    rejected: a vertical tangent at an extent endpoint, or partials that
-    underflow to 0 together with F, as at q = 0 with p tiny.
+    The point must satisfy |residual| < 1e-8, and |residual| <= 1e-8 times
+    the sum of |monomials| of F: near q = 0 a high pair's F is tiny
+    everywhere, on the curve or off it.  A vanishing dF/dp is rejected: a
+    vertical tangent at an extent endpoint, or partials that underflow to 0
+    together with F, as at q = 0 with p tiny.
     """
     q, p = point.q, point.p
-    r = _residual_raw(cond, q, p)
-    if abs(r) >= _ON_CURVE_TOL:
+    terms = _monomials(cond, q, p)
+    r = math.fsum(terms)
+    if not (abs(r) < _ON_CURVE_TOL and abs(r) <= _ON_CURVE_TOL * sum(map(abs, terms))):
         raise DomainError(f"point ({q}, {p}) is not on the {cond} curve "
                           f"(|residual| = {abs(r):.3g})")
     dq, dp = _residual_dq(cond, q, p), _residual_dq(cond, p, q)

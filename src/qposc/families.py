@@ -13,6 +13,7 @@ plus arbitrary user maps via CustomFamily.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 from .core import DeformationPoint, energy_level
@@ -26,12 +27,19 @@ _BOUNDS_SLACK = 1e-12
 
 
 class ReductionFamily:
-    """Base interface: a label, the smallest admissible q, and the map itself."""
+    """Base interface: a label, the smallest admissible q, and the map itself.
+
+    A subclass overrides p_of_qs, the map on a sequence of q returned as a
+    list; p_of_q(q) is its value on (q,), so each formula is written once.
+    """
 
     label = "?"
     domain_low = 0.0
 
     def p_of_q(self, q):
+        return self.p_of_qs((q,))[0]
+
+    def p_of_qs(self, qs):
         raise NotImplementedError
 
     def __repr__(self):
@@ -53,8 +61,9 @@ class PowerFamily(ReductionFamily):
         self.label = f"power:{exponent:g}"
         self.domain_low = 0.0
 
-    def p_of_q(self, q):
-        return q ** self.exponent
+    def p_of_qs(self, qs):
+        exponent = self.exponent
+        return [q ** exponent for q in qs]
 
 
 class LogFamily(ReductionFamily):
@@ -68,8 +77,9 @@ class LogFamily(ReductionFamily):
         if self.domain_low == 0.0:
             raise DomainError(f"log coefficient {alpha} too small: exp(-1/alpha) underflows to 0")
 
-    def p_of_q(self, q):
-        return 1.0 + self.alpha * math.log(q)
+    def p_of_qs(self, qs):
+        alpha, log = self.alpha, math.log
+        return [1.0 + alpha * log(q) for q in qs]
 
 
 class ExpFamily(ReductionFamily):
@@ -81,8 +91,9 @@ class ExpFamily(ReductionFamily):
         self.label = f"exp:{alpha:g}"
         self.domain_low = 0.0
 
-    def p_of_q(self, q):
-        return math.exp(self.alpha * (q - 1.0))
+    def p_of_qs(self, qs):
+        alpha, exp = self.alpha, math.exp
+        return [exp(alpha * (q - 1.0)) for q in qs]
 
 
 class CustomFamily(ReductionFamily):
@@ -95,8 +106,8 @@ class CustomFamily(ReductionFamily):
         self.label = str(label)
         self.domain_low = float(domain_low)
 
-    def p_of_q(self, q):
-        return self._func(q)
+    def p_of_qs(self, qs):
+        return list(map(self._func, qs))
 
 
 def parse_family(text):
@@ -114,9 +125,8 @@ def parse_family(text):
     return makers[kind](number)
 
 
-def _p_clamped(fam, q):
+def _clamp(p):
     # boundary values like 1 + a*ln(exp(-1/a)) land a few ulp outside [0, 1]
-    p = fam.p_of_q(q)
     if -_BOUNDS_SLACK < p < 0.0:
         return 0.0
     if 1.0 < p < 1.0 + _BOUNDS_SLACK:
@@ -129,10 +139,24 @@ def family_p(fam, q):
     q = float(q)
     if not (math.isfinite(q) and fam.domain_low <= q <= 1.0):
         raise DomainError(f"q={q} outside family domain [{fam.domain_low}, 1]")
-    p = _p_clamped(fam, q)
+    p = _clamp(fam.p_of_q(q))
     if not (0.0 <= p <= 1.0):
         raise DomainError(f"{fam.label} leaves the unit interval: f({q}) = {p}")
     return p
+
+
+def _family_ps(fam, qs):
+    """[family_p(fam, q) for q in qs] for a rising grid qs, in one p_of_qs
+    call; where family_p would raise, it does, at the first offending q."""
+    if fam.domain_low <= qs[0] and qs[-1] <= 1.0:
+        ps = fam.p_of_qs(qs)
+        low, high = min(ps), max(ps)
+        if low < 0.0 or high > 1.0:
+            ps = list(map(_clamp, ps))
+            low, high = min(ps), max(ps)
+        if 0.0 <= low and high <= 1.0 and not any(map(math.isnan, ps)):
+            return ps
+    return [family_p(fam, q) for q in qs]
 
 
 @dataclass
@@ -156,21 +180,26 @@ class FamilyReport:
 
 def validate_family(fam):
     """Check the two admissibility requirements on a uniform grid:
-    f is non-decreasing on [domain_low, 1] and f(1) = 1 (plus 0 <= f <= 1)."""
+    f is non-decreasing on [domain_low, 1] and f(1) = 1 (plus 0 <= f <= 1).
+    One p_of_qs call evaluates the grid; the per-point loops that name the
+    violations run only where a C-level pass shows something to report."""
     lo = fam.domain_low
     step = (1.0 - lo) / (_VALIDATE_GRID - 1)
     qs = [lo + i * step for i in range(_VALIDATE_GRID - 1)] + [1.0]
-    ps = [fam.p_of_q(q) for q in qs]
+    ps = fam.p_of_qs(qs)
 
     report = FamilyReport(passed=True, endpoint_value=ps[-1])
     if abs(ps[-1] - 1.0) > _BOUNDS_SLACK:
         report.add(1.0, f"f(1) = {ps[-1]!r}, expected 1")
-    for q, p in zip(qs, ps):
-        if not math.isfinite(p) or p < -_BOUNDS_SLACK or p > 1.0 + _BOUNDS_SLACK:
-            report.add(q, f"f(q) = {p!r} outside [0, 1]")
-    for i in range(len(qs) - 1):
-        if ps[i + 1] < ps[i] - _BOUNDS_SLACK:
-            report.add(qs[i + 1], f"f decreases: {ps[i]!r} -> {ps[i + 1]!r}")
+    rising = all(map(operator.le, ps, ps[1:]))  # False next to any NaN
+    if not (rising and -_BOUNDS_SLACK <= ps[0] and ps[-1] <= 1.0 + _BOUNDS_SLACK):
+        for q, p in zip(qs, ps):
+            if not math.isfinite(p) or p < -_BOUNDS_SLACK or p > 1.0 + _BOUNDS_SLACK:
+                report.add(q, f"f(q) = {p!r} outside [0, 1]")
+    if not rising:
+        for i in range(len(qs) - 1):
+            if ps[i + 1] < ps[i] - _BOUNDS_SLACK:
+                report.add(qs[i + 1], f"f decreases: {ps[i]!r} -> {ps[i + 1]!r}")
     if isinstance(fam, PowerFamily) and fam.exponent == 0.0:
         report.notes.append("boundary member: constant map p = 1")
     return report
@@ -194,9 +223,9 @@ def solve_degeneracy_on_family(fam, cond):
     """
     lo = fam.domain_low
     p_curve = solve_p_for_q(cond, lo)
-    if p_curve is None or not _p_clamped(fam, lo) < p_curve:
+    if p_curve is None or not _clamp(fam.p_of_q(lo)) < p_curve:
         return None
-    a, b = bisect_bracket(lambda q: _residual_raw(cond, q, _p_clamped(fam, q)), lo, 1.0)
+    a, b = bisect_bracket(lambda q: _residual_raw(cond, q, _clamp(fam.p_of_q(q))), lo, 1.0)
     if a == 0.0:
         raise DomainError(f"{fam.label} crosses the {cond} curve below the "
                           f"smallest positive double")

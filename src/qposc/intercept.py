@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from numbers import Integral
 
 from .errors import DomainError
-from .families import ExpFamily, PowerFamily, family_p
+from .families import ExpFamily, PowerFamily, _family_ps, family_p
 
 
 def asymptotic_intercept(fam, q):
@@ -37,14 +37,14 @@ def _is_extrapolated(fam):
 
 
 def intercept_curve(fam, n_samples):
-    """Sample the intercept on a uniform q-grid over the family domain."""
+    """Sample the intercept on a uniform q-grid over the family domain, in
+    one pass: asymptotic_intercept(fam, q) bit for bit, or its first error."""
     if not isinstance(n_samples, Integral) or n_samples < 2:
         raise DomainError(f"need at least 2 samples, got {n_samples!r}")
     lo = fam.domain_low
     last = int(n_samples) - 1
-    samples = []
-    for i in range(n_samples):
-        q = lo + (1.0 - lo) * i / last if i < last else 1.0
-        samples.append((q, asymptotic_intercept(fam, q)))
-    return InterceptCurve(family=fam, samples=tuple(samples),
+    span = 1.0 - lo
+    qs = [lo + span * i / last for i in range(last)] + [1.0]
+    lams = [q + (p - 1.0) for q, p in zip(qs, _family_ps(fam, qs))]
+    return InterceptCurve(family=fam, samples=tuple(zip(qs, lams)),
                           extrapolated=_is_extrapolated(fam))

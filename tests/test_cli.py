@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from qposc import ConsistencyError, CustomFamily
+from qposc import ConsistencyError, CustomFamily, energy_spectrum
 from qposc.cli import main
 
 
@@ -133,15 +133,10 @@ class TestSolveCommand:
 
 README_CLI = Path(__file__).parent / "readme_cli"
 
-# each README example: the name of its pinned table in README_CLI, and its argv
-README_ARGV = [
-    ("curve", ["curve", "--levels", "1,2", "--samples", "2"]),
-    ("solve_power", ["solve", "--levels", "0,2", "--family", "power:1"]),
-    ("solve_log", ["solve", "--levels", "0,2", "--family", "log:6.05"]),
-    ("spectrum", ["spectrum", "--family", "exp:0.5", "--q", "0.01", "--n-max", "10"]),
-    ("intercept", ["intercept", "--family", "exp:0.5", "--samples", "101"]),
-    ("fock", ["fock", "--dim", "8", "--q", "0.5", "--p", "0.25"]),
-]
+# each README example: the name of its pinned table in README_CLI, and its
+# argv; the CI workflow runs the same list through the installed qposc script
+README_ARGV = [(name, argv) for name, *argv in
+               map(str.split, (README_CLI / "examples.txt").read_text().splitlines())]
 
 
 class TestReadmeExamples:
@@ -175,6 +170,20 @@ class TestSpectrumCommand:
                                "--q", "0.01", "--n-max", "10")
         assert code == 0
         assert out.rstrip().endswith("# n0=1")
+
+    def test_spectrum_is_evaluated_once(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(n_max, point):
+            calls.append(n_max)
+            return energy_spectrum(n_max, point)
+        monkeypatch.setattr("qposc.cli.energy_spectrum", counted)
+        monkeypatch.setattr("qposc.spectrum.energy_spectrum", counted)
+        for q, n_max in (("0.4", "200"), ("1", "5"), ("0.4", "1")):
+            calls.clear()
+            code, _, _ = run_cli(capsys, "spectrum", "--family", "exp:0.5",
+                                 "--q", q, "--n-max", n_max)
+            assert (code, calls) == (0, [int(n_max)])
 
     def test_out_of_domain_q_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "spectrum", "--family", "log:1",

@@ -240,6 +240,15 @@ class TestImplicitDerivative:
         with pytest.raises(DomainError):
             implicit_derivative(DegeneracyCondition(0, 2), DeformationPoint(0.5, 0.5))
 
+    @pytest.mark.parametrize("m1, p", [(30, 0.5), (40, 0.3)])
+    def test_tiny_residual_off_the_curve_rejected(self, m1, p):
+        # |F| < 1e-8 here (1.4e-9, 3.7e-21), but the curve's p at q = 0 is
+        # 1.0 and |F| is 0.6 and 0.83 of the sum of |monomials|
+        cond = DegeneracyCondition(m1, m1 + 1)
+        assert solve_p_for_q(cond, 0.0) == 1.0
+        with pytest.raises(DomainError, match="is not on the"):
+            implicit_derivative(cond, DeformationPoint(0.0, p))
+
     def test_vertical_tangent_rejected(self):
         with pytest.raises(DomainError):
             implicit_derivative(DegeneracyCondition(2, 3), DeformationPoint(1.0, 0.0))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qposc import (CustomFamily, DeformationPoint, DomainError, ExpFamily,
-                   LogFamily, PowerFamily, energy_level, family_energy,
+                   FamilyReport, LogFamily, PowerFamily, energy_level, family_energy,
                    family_p, intercept_curve, parse_family, profile,
                    solve_degeneracy_on_family, validate_family)
 from qposc import DegeneracyCondition as Cond
@@ -20,6 +20,24 @@ def power_energy_closed(l, n, q):
         return 0.5
     inner = math.fsum(q ** (s * (1.0 - l)) for s in range(n))
     return 0.5 * (q ** (n * l) + (1.0 + q) * q ** (l * (n - 1)) * inner)
+
+
+def pointwise_report(fam):
+    """validate_family's report, point by point with no shortcut."""
+    lo = fam.domain_low
+    step = (1.0 - lo) / 9999
+    qs = [lo + i * step for i in range(9999)] + [1.0]
+    ps = [fam.p_of_q(q) for q in qs]
+    found = []
+    if abs(ps[-1] - 1.0) > 1e-12:
+        found.append((1.0, f"f(1) = {ps[-1]!r}, expected 1"))
+    found += [(q, f"f(q) = {p!r} outside [0, 1]") for q, p in zip(qs, ps)
+              if not math.isfinite(p) or p < -1e-12 or p > 1.0 + 1e-12]
+    found += [(q, f"f decreases: {a!r} -> {b!r}") for q, a, b in zip(qs[1:], ps, ps[1:])
+              if b < a - 1e-12]
+    notes = ["boundary member: constant map p = 1"] if fam == PowerFamily(0) else []
+    return FamilyReport(passed=not found, endpoint_value=ps[-1], violations=found[:10],
+                        n_violations=len(found), notes=notes)
 
 
 class TestFamilyMaps:
@@ -104,6 +122,24 @@ class TestValidation:
     def test_wrong_endpoint_fails(self):
         report = validate_family(CustomFamily(lambda q: 0.9 * q, label="short"))
         assert not report.passed
+
+    @pytest.mark.parametrize("fam", [
+        CustomFamily(lambda q: 1.0 - q * (1.0 - q), "dip"),
+        CustomFamily(lambda q: math.nan if 0.3 < q < 0.30005 else q, "nan"),
+        CustomFamily(lambda q: math.nan if q == 0.0 else q, "nan-first"),
+        CustomFamily(lambda q: math.inf if q > 0.5 else q, "inf"),
+        CustomFamily(lambda q: -math.inf if q < 0.5 else q, "minus-inf"),
+        CustomFamily(lambda q: 0.9 * q, "short"),
+        CustomFamily(lambda q: q - 5e-13, "slack-below"),
+        CustomFamily(lambda q: q + 5e-13, "slack-above"),
+        CustomFamily(lambda q: q - 1e-13 * (q > 0.5), "slack-dip"),
+        CustomFamily(lambda q: 1.5 * q - 0.5, "below-band", domain_low=0.2),
+        CustomFamily(lambda q: (q * 40.0) % 1.0, "saw"),  # more than _CAP decreases
+        PowerFamily(0), PowerFamily(2.5), LogFamily(6.05), LogFamily(0.0014),
+        ExpFamily(50.0), ExpFamily(0.1653),
+    ], ids=repr)
+    def test_report_matches_the_pointwise_reference(self, fam):
+        assert repr(validate_family(fam)) == repr(pointwise_report(fam))
 
 
 def mp_log_crossing(alpha, m1, m2):

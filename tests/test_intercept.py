@@ -6,7 +6,24 @@ import numpy as np
 import pytest
 
 from qposc import (CustomFamily, DomainError, ExpFamily, LogFamily,
-                   PowerFamily, asymptotic_intercept, intercept_curve)
+                   PowerFamily, asymptotic_intercept, intercept_curve, parse_family)
+
+
+def pointwise_curve(fam, n):
+    """intercept_curve's samples, or its error text, one family_p call per q."""
+    lo, last = fam.domain_low, n - 1
+    qs = [lo + (1.0 - lo) * i / last for i in range(last)] + [1.0]
+    try:
+        return [(q.hex(), asymptotic_intercept(fam, q).hex()) for q in qs]
+    except DomainError as exc:
+        return str(exc)
+
+
+def bulk_curve(fam, n):
+    try:
+        return [(q.hex(), lam.hex()) for q, lam in intercept_curve(fam, n).samples]
+    except DomainError as exc:
+        return str(exc)
 
 
 class TestPointValues:
@@ -78,3 +95,36 @@ class TestCurve:
         assert all(type(v) is float for s in curve.samples for v in s)
         with pytest.raises(DomainError, match="at least 2 samples"):
             intercept_curve(fam, True)
+
+
+class TestBulkEqualsPointwise:
+    # log:6.05 starts a few ulps below p = 0, where family_p clamps
+    @pytest.mark.parametrize("spec", ["log:6.05", "log:0.0014", "power:0", "exp:50",
+                                      "power:1e-17", "exp:1e-17", "log:1", "power:2.5"])
+    @pytest.mark.parametrize("n", [2, 3, 101, 10001])
+    def test_built_in_members(self, spec, n):
+        fam = parse_family(spec)
+        assert bulk_curve(fam, n) == pointwise_curve(fam, n)
+
+    @pytest.mark.parametrize("func", [
+        lambda q: 1.0 - q * (1.0 - q),                  # dips, but stays in [0, 1]
+        lambda q: q - 5e-13,                            # slack band below 0
+        lambda q: min(q + 5e-13, 1.0 + 5e-13),          # slack band above 1
+        lambda q: q - 2e-12,                            # below the band at q = 0
+        lambda q: 2.0 - q,                              # above 1 everywhere
+        lambda q: math.nan if 0.3 < q < 0.6 else q,
+        lambda q: math.nan if q == 0.0 else q,          # NaN first, where min sees it
+        lambda q: math.inf if q > 0.5 else q,
+        lambda q: -math.inf if q < 0.5 else q,
+        lambda q: 0.9 * q,                              # f(1) = 0.9 is not an error here
+    ])
+    @pytest.mark.parametrize("n", [2, 101, 10001])
+    def test_custom_maps_and_their_errors(self, func, n):
+        fam = CustomFamily(func, "custom", domain_low=0.0)
+        assert bulk_curve(fam, n) == pointwise_curve(fam, n)
+
+    def test_error_names_the_first_offending_q(self):
+        fam = CustomFamily(lambda q: math.nan if q > 0.25 else q, "gap")
+        with pytest.raises(DomainError) as exc:
+            intercept_curve(fam, 5)
+        assert str(exc.value) == "gap leaves the unit interval: f(0.5) = nan"

@@ -24,8 +24,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qposc import (DeformationPoint, DegeneracyCondition, DomainError, ExpFamily,
-                   LogFamily, PowerFamily, endpoint_q, family_energy, peak_level, residual,
-                   solve_degeneracy_on_family, solve_p_for_q)
+                   LogFamily, PowerFamily, endpoint_q, family_energy, family_p, peak_level,
+                   residual, solve_degeneracy_on_family, solve_p_for_q)
+from qposc.families import _family_ps
 
 PROPERTY = settings(derandomize=True, max_examples=200, deadline=None)
 
@@ -92,6 +93,23 @@ def test_spectrum_peaks_at_the_degenerate_pair(fam, m):
     # E_m = E_{m+1} at q(m) puts the maximum of E_n on one of the two levels
     q_star = solve_degeneracy_on_family(fam, DegeneracyCondition(m, m + 1))
     assert peak_level(fam, q_star) in (m, m + 1), q_star
+
+
+# the maps as the families module docstring states them
+FORMULAS = {PowerFamily: lambda fam, q: q ** fam.exponent,
+            LogFamily: lambda fam, q: 1.0 + fam.alpha * math.log(q),
+            ExpFamily: lambda fam, q: math.exp(fam.alpha * (q - 1.0))}
+
+
+@PROPERTY
+@given(fam=members, us=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=50))
+def test_the_bulk_map_is_the_pointwise_map_bit_for_bit(fam, us):
+    lo = fam.domain_low
+    qs = sorted(lo + (1.0 - lo) * u for u in us)
+    formula = FORMULAS[type(fam)]
+    assert ([p.hex() for p in fam.p_of_qs(qs)] == [fam.p_of_q(q).hex() for q in qs]
+            == [formula(fam, q).hex() for q in qs])
+    assert [p.hex() for p in _family_ps(fam, qs)] == [family_p(fam, q).hex() for q in qs]
 
 
 pairs = st.integers(1, 80).flatmap(lambda m2: st.tuples(st.integers(0, m2 - 1), st.just(m2)))
