@@ -27,7 +27,8 @@ costs O(1) for every pair, is concave, and peaks where phi has its minimum.
 Off the diagonal the curve is L(p) = L(q), and
 sign F(q, p) = sign((L(p) - L(q)) / (q - p)).  Every p-root, endpoint_q's
 too, is estimated by Newton on L, and F has the last word: the root is one
-of two adjacent floats at which F computes to opposite signs.
+of two adjacent floats at which F computes to opposite signs, found by
+bisect_bracket, which the in-family solver of qposc.families uses too.
 """
 
 import math
@@ -39,7 +40,6 @@ from numbers import Integral
 from typing import NamedTuple, Optional
 
 from .errors import ConsistencyError, DomainError
-from .roots import bisect_bracket
 
 GROUND = "ground"
 NEIGHBOR = "neighbor"
@@ -176,8 +176,28 @@ def _certified_bracket(f, p, lo, hi):
         return lo, hi
 
 
-def _root(f, cond, q, lo, hi):
-    """bisect_bracket on f = F(q, .), from Newton's certified estimate if any."""
+def bisect_bracket(f, lo, hi):
+    """Shrink [lo, hi], where f(lo) <= 0 < f(hi), to two adjacent floats and
+    return them as (lo, hi).  The ends' signs are the caller's, from the
+    model; the ends are never evaluated, as near a root, or where f
+    underflows to 0.0, their computed signs can be wrong.  f(mid) > 0 makes
+    mid hi and any other value, 0.0 too, lo; there is no tolerance."""
+    # linear midpoints: a float-order one would cap [0, 1] at 64 steps, but
+    # only brackets with no Newton estimate in them are bisected whole
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:  # lo and hi are adjacent floats
+            return lo, hi
+        if f(mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+
+
+def _root(cond, q, lo, hi):
+    """The p-root of F(q, .) on [lo, hi] as two adjacent floats, bisected from
+    Newton's certified estimate if there is one."""
+    f = partial(_residual_raw, cond, q)
     p = _estimate_p(cond, q, lo, hi)
     if p is not None:
         lo, hi = _certified_bracket(f, p, lo, hi)
@@ -206,15 +226,14 @@ def solve_p_for_q(cond, q) -> Optional[float]:
     if (cond.m1, cond.m2) == (0, 1):
         return None  # E_1 - E_0 = (q + p)/2 > 0 on the whole admissible square
 
-    f = partial(_residual_raw, cond, q)
-    if f(q) <= 0.0:
+    if _residual_raw(cond, q, q) <= 0.0:
         lo, hi = q, 1.0
     else:
-        f0 = f(0.0)
+        f0 = _residual_raw(cond, q, 0.0)
         if f0 >= 0.0:  # past q_m, or F(q, 0) == 0 at q = q_m or q = 1
             return None if f0 > 0.0 else 0.0
         lo, hi = 0.0, q
-    lo, hi = _root(f, cond, q, lo, hi)
+    lo, hi = _root(cond, q, lo, hi)
     return 0.5 * (lo + hi)
 
 
@@ -253,15 +272,15 @@ def implicit_derivative(cond, point):
 def endpoint_q(cond):
     """Largest q reached by a ground-type curve: the root of q^m + q^(m-1) = 1.
 
-    It is the q = 0 p-root of its pair, found on solve_p_for_q's path; the
-    lower end is returned, so F(q_m, 0) <= 0 in the sum solve_p_for_q sees.
-    F(x, 0) = x^m + x^(m-1) - 1, bit for bit F(0, x), is non-decreasing in x
+    It is the q = 0 p-root of its pair, _root(cond, 0, 0, 1); the lower end
+    is returned, and F(0, x) = x^m + x^(m-1) - 1 is F(x, 0) bit for bit, so
+    F(q_m, 0) <= 0 in the sum solve_p_for_q sees.  F(0, x) is non-decreasing
     (powers by repeated multiplication), so every sign-keeping bracket shrink
-    ends on the one pair of adjacent floats with F(lo, 0) <= 0 < F(hi, 0).
+    ends on the one pair of adjacent floats with F(0, lo) <= 0 < F(0, hi).
     """
     if cond.kind != GROUND:
         raise DomainError(f"endpoint_q applies to ground-type conditions only, got {cond}")
-    return _root(lambda x: _residual_raw(cond, x, 0.0), cond, 0.0, 0.0, 1.0)[0]
+    return _root(cond, 0.0, 0.0, 1.0)[0]
 
 
 class CurvePoint(NamedTuple):

@@ -9,7 +9,8 @@ q-oscillator class.  Built-in families:
     log:    p = 1 + a ln q  (a > 0; domain clipped to [exp(-1/a), 1])
     exp:    p = exp(a(q-1)) (a > 0)
 
-plus arbitrary user maps via CustomFamily.
+plus arbitrary user maps via CustomFamily.  A member's value is read one
+way: family_p is the one-point case of the validated grid map _family_ps.
 """
 
 import math
@@ -17,9 +18,8 @@ import operator
 from dataclasses import dataclass, field
 
 from .core import DeformationPoint, energy_level
-from .degeneracy import _residual_raw, solve_p_for_q
+from .degeneracy import _residual_raw, bisect_bracket, solve_p_for_q
 from .errors import DomainError
-from .roots import bisect_bracket
 
 # grid size fixed by the admissibility contract
 _VALIDATE_GRID = 10_000
@@ -76,6 +76,10 @@ class LogFamily(ReductionFamily):
         self.domain_low = math.exp(-1.0 / alpha)  # where p reaches 0
         if self.domain_low == 0.0:
             raise DomainError(f"log coefficient {alpha} too small: exp(-1/alpha) underflows to 0")
+        edge = self.p_of_q(self.domain_low)  # misses 0 if exp(-1/alpha) is subnormal
+        if not -_BOUNDS_SLACK < edge < _BOUNDS_SLACK:
+            raise DomainError(f"log coefficient {alpha} too small: "
+                              f"f(exp(-1/alpha)) = {edge!r}, not within {_BOUNDS_SLACK:g} of 0")
 
     def p_of_qs(self, qs):
         alpha, log = self.alpha, math.log
@@ -134,29 +138,29 @@ def _clamp(p):
     return p
 
 
-def family_p(fam, q):
-    """f(q), validated against the family domain and the unit interval."""
-    q = float(q)
-    if not (math.isfinite(q) and fam.domain_low <= q <= 1.0):
-        raise DomainError(f"q={q} outside family domain [{fam.domain_low}, 1]")
-    p = _clamp(fam.p_of_q(q))
-    if not (0.0 <= p <= 1.0):
-        raise DomainError(f"{fam.label} leaves the unit interval: f({q}) = {p}")
-    return p
+def _in_unit(ps):  # C-level passes; min and max can pass over a NaN, sum cannot
+    return 0.0 <= min(ps) and max(ps) <= 1.0 and not math.isnan(sum(ps))
 
 
 def _family_ps(fam, qs):
-    """[family_p(fam, q) for q in qs] for a rising grid qs, in one p_of_qs
-    call; where family_p would raise, it does, at the first offending q."""
-    if fam.domain_low <= qs[0] and qs[-1] <= 1.0:
-        ps = fam.p_of_qs(qs)
-        low, high = min(ps), max(ps)
-        if low < 0.0 or high > 1.0:
-            ps = list(map(_clamp, ps))
-            low, high = min(ps), max(ps)
-        if 0.0 <= low and high <= 1.0 and not any(map(math.isnan, ps)):
-            return ps
-    return [family_p(fam, q) for q in qs]
+    """f(q) for each q of a rising grid qs, in one p_of_qs call: the domain
+    is checked at the grid's ends, a p within _BOUNDS_SLACK of [0, 1] is
+    clamped onto it, and any other miss raises at the first offending q."""
+    if not (fam.domain_low <= qs[0] and qs[-1] <= 1.0):  # NaN fails too
+        q = next(q for q in qs if not (math.isfinite(q) and fam.domain_low <= q <= 1.0))
+        raise DomainError(f"q={q} outside family domain [{fam.domain_low}, 1]")
+    ps = fam.p_of_qs(qs)
+    if not _in_unit(ps):
+        ps = list(map(_clamp, ps))
+        if not _in_unit(ps):
+            q, p = next((q, p) for q, p in zip(qs, ps) if not 0.0 <= p <= 1.0)
+            raise DomainError(f"{fam.label} leaves the unit interval: f({q}) = {p}")
+    return ps
+
+
+def family_p(fam, q):
+    """f(q), validated against the family domain and the unit interval."""
+    return _family_ps(fam, [float(q)])[0]
 
 
 @dataclass
@@ -223,9 +227,9 @@ def solve_degeneracy_on_family(fam, cond):
     """
     lo = fam.domain_low
     p_curve = solve_p_for_q(cond, lo)
-    if p_curve is None or not _clamp(fam.p_of_q(lo)) < p_curve:
+    if p_curve is None or not family_p(fam, lo) < p_curve:
         return None
-    a, b = bisect_bracket(lambda q: _residual_raw(cond, q, _clamp(fam.p_of_q(q))), lo, 1.0)
+    a, b = bisect_bracket(lambda q: _residual_raw(cond, q, family_p(fam, q)), lo, 1.0)
     if a == 0.0:
         raise DomainError(f"{fam.label} crosses the {cond} curve below the "
                           f"smallest positive double")

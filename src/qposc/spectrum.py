@@ -63,6 +63,7 @@ def peak_level(fam, q):
         return 1  # n* = 0 on the axes
     if q == p:
         return math.floor(2.0 * q * q / ((1.0 - q) * (1.0 + q))) + 1
-    # log1p keeps a few ulp of relative accuracy as p -> q
-    return math.floor(math.log1p((p - q) * (p + q) / ((1.0 - p) * (1.0 + p)))
-                      / math.log1p((p - q) / q)) + 1
+    # log1p keeps a few ulp of relative accuracy as p -> q, where p - q is
+    # exact (Sterbenz); for p < q/2, (p - q)/q can round to -1, so ln(p/q)
+    log_pq = math.log(p / q) if p < 0.5 * q else math.log1p((p - q) / q)
+    return math.floor(math.log1p((p - q) * (p + q) / ((1.0 - p) * (1.0 + p))) / log_pq) + 1

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import qposc
 
 PUBLIC_NAMES = {
@@ -55,3 +57,25 @@ def test_import_leaves_numpy_unloaded():
 def test_fock_in_a_fresh_process_matches_readme():
     out = run_fresh("-m", "qposc.cli", "fock", "--dim", "8", "--q", "0.5", "--p", "0.25")
     assert out.stdout == (Path(__file__).parent / "readme_cli" / "fock.csv").read_bytes()
+
+
+README_CLI = Path(__file__).parent / "readme_cli"
+README_ARGV = dict((name, argv) for name, *argv in
+                   map(str.split, (README_CLI / "examples.txt").read_text().splitlines()))
+# qposc's main on the arguments after -c, with every import of numpy failing
+WITHOUT_NUMPY = ("import sys; sys.modules['numpy'] = None; "
+                 "from qposc.cli import main; sys.exit(main(sys.argv[1:]))")
+
+
+@pytest.mark.parametrize("name", sorted(set(README_ARGV) - {"fock"}))
+def test_numpy_free_readme_examples_run_without_numpy(name):
+    out = run_fresh("-c", WITHOUT_NUMPY, *README_ARGV[name])
+    assert out.stdout == (README_CLI / f"{name}.csv").read_bytes()
+
+
+def test_fock_fails_without_numpy():
+    # shows that the block above takes effect
+    with pytest.raises(subprocess.CalledProcessError) as exc:
+        run_fresh("-c", WITHOUT_NUMPY, *README_ARGV["fock"])
+    assert exc.value.stdout == b""
+    assert b"numpy" in exc.value.stderr

@@ -50,6 +50,11 @@ class TestCurveCommand:
         assert code == 1
         assert err
 
+    def test_non_integer_levels_are_a_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "curve", "--levels", "1,x")
+        assert (code, out) == (1, "")
+        assert err == "qposc: --levels expects integers, got '1,x'\n"
+
     def test_missing_flag_exits_one(self):
         with pytest.raises(SystemExit) as exc:
             main(["curve"])

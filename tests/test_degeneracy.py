@@ -12,7 +12,7 @@ from qposc import (ConsistencyError, CurveTrace, DeformationPoint,
                    DegeneracyCondition, DomainError, PowerFamily, endpoint_q,
                    energy_level, implicit_derivative, residual,
                    solve_degeneracy_on_family, solve_p_for_q, trace_curve)
-from qposc.roots import bisect_bracket
+from qposc.degeneracy import bisect_bracket
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 

@@ -75,6 +75,25 @@ class TestFamilyMaps:
         with pytest.raises(DomainError, match=r"log coefficient 0\.001 too small: .*underflows"):
             LogFamily(1e-3)
 
+    @pytest.mark.parametrize("alpha", [0.0013433423355, 0.001342671, 0.00137, 0.00138])
+    def test_log_domain_edge_that_misses_zero_rejected(self, alpha):
+        # exp(-1/alpha) is subnormal here and f(domain_low) computes far from 0
+        edge = 1.0 + alpha * math.log(math.exp(-1.0 / alpha))
+        assert math.exp(-1.0 / alpha) > 0.0 and abs(edge) > 1e-12
+        with pytest.raises(DomainError) as exc:
+            LogFamily(alpha)
+        assert str(exc.value) == (f"log coefficient {alpha} too small: "
+                                  f"f(exp(-1/alpha)) = {edge!r}, not within 1e-12 of 0")
+
+    def test_accepted_log_members_start_at_zero(self):
+        rng = np.random.default_rng(13)
+        for alpha in np.exp(rng.uniform(math.log(0.001342), math.log(0.0015), size=2000)):
+            try:
+                fam = LogFamily(float(alpha))
+            except DomainError:
+                continue
+            assert abs(fam.p_of_q(fam.domain_low)) < 1e-12, alpha
+
     def test_parse_grammar(self):
         fam = parse_family("power:2.5")
         assert isinstance(fam, PowerFamily) and fam.exponent == 2.5
@@ -92,6 +111,39 @@ class TestFamilyMaps:
     def test_records_holding_a_member_compare_by_value(self):
         assert intercept_curve(ExpFamily(0.5), 5) == intercept_curve(ExpFamily(0.5), 5)
         assert profile(ExpFamily(0.5), 0.88, 50) == profile(ExpFamily(0.5), 0.88, 50)
+
+
+class TestPinnedMessages:
+    # the exact texts of family_p and of CustomFamily's domain check
+
+    @pytest.mark.parametrize("q", [-0.1, 1.5, math.nan, math.inf])
+    def test_q_outside_the_domain(self, q):
+        with pytest.raises(DomainError) as exc:
+            family_p(PowerFamily(2), q)
+        assert str(exc.value) == f"q={q} outside family domain [0.0, 1]"
+
+    def test_q_below_a_log_members_domain(self):
+        with pytest.raises(DomainError) as exc:
+            family_p(LogFamily(1.0), 0.2)
+        assert str(exc.value) == "q=0.2 outside family domain [0.36787944117144233, 1]"
+
+    @pytest.mark.parametrize("label, func, q, shown", [
+        ("nan", lambda q: math.nan, 0.25, "nan"),
+        ("inf", lambda q: math.inf, 0.25, "inf"),
+        ("-inf", lambda q: -math.inf, 0.25, "-inf"),
+        ("2-q", lambda q: 2.0 - q, 0.25, "1.75"),
+        ("q-2e-12", lambda q: q - 2e-12, 0.0, "-2e-12"),
+    ])
+    def test_one_point_custom_map_leaves_the_unit_interval(self, label, func, q, shown):
+        with pytest.raises(DomainError) as exc:
+            family_p(CustomFamily(func, label), q)
+        assert str(exc.value) == f"{label} leaves the unit interval: f({q}) = {shown}"
+
+    @pytest.mark.parametrize("low", [-0.1, 1.0, math.nan])
+    def test_custom_domain_low_outside_the_unit_interval(self, low):
+        with pytest.raises(DomainError) as exc:
+            CustomFamily(lambda q: q, "id", domain_low=low)
+        assert str(exc.value) == f"domain_low must lie in [0, 1), got {low}"
 
 
 class TestValidation:

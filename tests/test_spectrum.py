@@ -1,6 +1,7 @@
 """Spectrum shape: peak location, post-peak decay, vanishing tail."""
 
 import math
+import random
 
 import mpmath
 import numpy as np
@@ -152,6 +153,38 @@ class TestPeakLevel:
                 continue
             cases += 1
             assert peak_level(fam, q) == want == profile(fam, q, n_max).peak_index, (fam, q)
+
+
+def mp_peak(q, p):
+    # floor(n*) + 1 with n* = ln((1 - q^2)/(1 - p^2)) / ln(p/q), in 60 digits
+    with mpmath.workdps(60):
+        q, p = mpmath.mpf(q), mpmath.mpf(p)
+        return int(mpmath.floor(mpmath.log((1 - q * q) / (1 - p * p)) / mpmath.log(p / q))) + 1
+
+
+class TestPeakLevelFarBelowTheDiagonal:
+    # where p << q, (p - q)/q rounds to -1.0 and log1p of it is undefined
+
+    @pytest.mark.parametrize("fam, q", [(PowerFamily(2.5), 1e-11), (ExpFamily(50), 0.1),
+                                        (PowerFamily(7), 1e-5), (ExpFamily(50), 1e-5)])
+    def test_documented_members(self, fam, q):
+        p = family_p(fam, q)
+        assert (p - q) / q == -1.0
+        assert peak_level(fam, q) == mp_peak(q, p) == mp_argmax(q, p)
+
+    def test_seeded_scan_matches_mpmath(self):
+        rnd = random.Random(5)
+        checked = 0
+        for _ in range(3000):
+            kind = rnd.choice((PowerFamily, ExpFamily, LogFamily))
+            lo_a, hi_a = (0.0014, 100.0) if kind is LogFamily else (0.01, 50.0)
+            fam = kind(math.exp(rnd.uniform(math.log(lo_a), math.log(hi_a))))
+            q = math.exp(rnd.uniform(math.log(max(1e-12, fam.domain_low)), 0.0))
+            p = family_p(fam, q)
+            if q < 1.0 and p not in (0.0, 1.0, q):
+                checked += 1
+                assert peak_level(fam, q) == mp_peak(q, p), (fam, q)
+        assert checked > 2900
 
 
 class TestShapeInvariants:
