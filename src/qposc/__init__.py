@@ -11,32 +11,40 @@ deterministic CSV tables.
 
 __version__ = "0.1.0"
 
-from .core import (EPS_EQUAL, DeformationPoint, FockRep, energy_iter,
-                   energy_level, energy_spectrum, fock_rep, fock_residuals,
-                   qp_bracket, qp_bracket_int)
-from .degeneracy import (CurvePoint, CurveTrace, DegeneracyCondition,
-                         endpoint_q, implicit_derivative, residual,
-                         solve_p_for_q, trace_curve)
-from .errors import ConsistencyError, DomainError
-from .families import (CustomFamily, ExpFamily, FamilyReport, LogFamily,
-                       PowerFamily, ReductionFamily, family_energy, family_p,
-                       parse_family, solve_degeneracy_on_family,
-                       validate_family)
-from .intercept import InterceptCurve, asymptotic_intercept, intercept_curve
-from .spectrum import SpectrumProfile, peak_level, profile
+import importlib
 
-__all__ = [
-    "__version__", "EPS_EQUAL",
-    "DomainError", "ConsistencyError",
-    "DeformationPoint", "FockRep",
-    "qp_bracket", "qp_bracket_int", "energy_level", "energy_spectrum",
-    "energy_iter", "fock_rep", "fock_residuals",
-    "DegeneracyCondition", "CurvePoint", "CurveTrace",
-    "residual", "solve_p_for_q", "implicit_derivative", "endpoint_q",
-    "trace_curve",
-    "ReductionFamily", "PowerFamily", "LogFamily", "ExpFamily",
-    "CustomFamily", "FamilyReport", "family_p", "validate_family",
-    "solve_degeneracy_on_family", "family_energy", "parse_family",
-    "SpectrumProfile", "profile", "peak_level",
-    "InterceptCurve", "asymptotic_intercept", "intercept_curve",
-]
+from .errors import ConsistencyError, DomainError
+
+# Each public name and the submodule that defines it.  Names other than the
+# error types are imported on first access (PEP 562), so a process loads only
+# the submodules it uses; __all__ keeps this table's order.
+_HOME = {name: module for module, names in (
+    ("core", "EPS_EQUAL"),
+    ("errors", "DomainError ConsistencyError"),
+    ("core", "DeformationPoint FockRep qp_bracket qp_bracket_int energy_level "
+             "energy_spectrum energy_iter fock_rep fock_residuals"),
+    ("degeneracy", "DegeneracyCondition CurvePoint CurveTrace residual solve_p_for_q "
+                   "implicit_derivative endpoint_q trace_curve"),
+    ("families", "ReductionFamily PowerFamily LogFamily ExpFamily CustomFamily FamilyReport "
+                 "family_p validate_family solve_degeneracy_on_family family_energy "
+                 "parse_family"),
+    ("spectrum", "SpectrumProfile profile peak_level"),
+    ("intercept", "InterceptCurve asymptotic_intercept intercept_curve"),
+) for name in names.split()}
+_SUBMODULES = {*_HOME.values(), "cli"}
+
+__all__ = ["__version__", *_HOME]
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:  # importing binds it in this namespace
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -7,7 +7,10 @@ endings, so identical invocations produce byte-identical output.
 
 Each _cmd_* handler returns its table as (header params, body lines), and
 main writes it once, to stdout or --out, after the handler has returned:
-nothing is written unless the command succeeds.
+nothing is written unless the command succeeds.  Each handler imports the
+submodules it runs, so a process loads only its subcommand's share of the
+package; none loads numpy (fock evaluates the ladder relations from the
+superdiagonal of A, in O(dim), without building the matrices).
 
 Exit codes: 0 success, 1 usage/parse error, 2 domain error, 3 solver
 consistency error.
@@ -17,13 +20,7 @@ import argparse
 import sys
 
 from . import __version__
-from .core import DeformationPoint, energy_spectrum, fock_rep, fock_residuals
-from .degeneracy import DegeneracyCondition, trace_curve
 from .errors import ConsistencyError, DomainError
-from .families import (family_energy, family_p, parse_family,
-                       solve_degeneracy_on_family, validate_family)
-from .intercept import intercept_curve
-from .spectrum import profile
 
 
 def _fmt(x):
@@ -35,6 +32,7 @@ def _row(values):
 
 
 def _parse_levels(text):
+    from .degeneracy import DegeneracyCondition
     parts = str(text).split(",")
     if len(parts) != 2:
         raise ValueError(f"--levels expects two comma-separated integers, got {text!r}")
@@ -46,6 +44,7 @@ def _parse_levels(text):
 
 
 def _validated_family(text):
+    from .families import parse_family, validate_family
     fam = parse_family(text)
     report = validate_family(fam)
     if not report.passed:
@@ -55,12 +54,14 @@ def _validated_family(text):
 
 
 def _cmd_curve(args):
+    from .degeneracy import trace_curve
     cond = _parse_levels(args.levels)
     rows = [_row(sample) for sample in trace_curve(cond, args.samples).samples]
     return [("levels", f"{cond.m1},{cond.m2}"), ("samples", args.samples)], ["q,p,dpdq"] + rows
 
 
 def _cmd_solve(args):
+    from .families import family_energy, family_p, solve_degeneracy_on_family
     cond = _parse_levels(args.levels)
     fam = _validated_family(args.family)
     q_star = solve_degeneracy_on_family(fam, cond)
@@ -73,6 +74,9 @@ def _cmd_solve(args):
 
 
 def _cmd_spectrum(args):
+    from .core import DeformationPoint, energy_spectrum
+    from .families import family_p
+    from .spectrum import profile
     fam = _validated_family(args.family)
     if args.q < 1.0 and args.n_max >= 2:
         shape = profile(fam, args.q, args.n_max)
@@ -86,6 +90,7 @@ def _cmd_spectrum(args):
 
 
 def _cmd_intercept(args):
+    from .intercept import intercept_curve
     fam = _validated_family(args.family)
     curve = intercept_curve(fam, args.samples)
     body = [f"# form: {'extrapolated' if curve.extrapolated else 'exact'}", "q,lambda"]
@@ -94,8 +99,9 @@ def _cmd_intercept(args):
 
 
 def _cmd_fock(args):
+    from .core import DeformationPoint, _ladder_residuals, _superdiagonal
     point = DeformationPoint(args.q, args.p)
-    r1, r2 = fock_residuals(fock_rep(args.dim, point), point)
+    r1, r2 = _ladder_residuals(_superdiagonal(args.dim, point), point.q, point.p)
     params = [("dim", args.dim), ("q", _fmt(args.q)), ("p", _fmt(args.p))]
     return params, ["relation,max_residual", f"1,{_fmt(r1)}", f"2,{_fmt(r2)}"]
 

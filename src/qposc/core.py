@@ -15,8 +15,11 @@ are bitwise symmetric in (q, p).  The Hamiltonian
 H = (A A+ + A+ A) / 2 then has the spectrum E_n = ([[n+1]] + [[n]]) / 2,
 with E_0 = 1/2 for every admissible (q, p) and E_n = n + 1/2 at q = p = 1.
 
-All functions here are pure and their values can be shared between threads;
-numpy, for FockRep's arrays, is imported on the first fock_* call.
+All functions here are pure and their values can be shared between threads.
+numpy is imported only by fock_rep and fock_residuals, on their first call,
+for FockRep's dim x dim arrays; both read the superdiagonal and the residual
+formula from _superdiagonal and _ladder_residuals, which the CLI's fock
+calls directly, in O(dim) time and memory and without numpy.
 """
 
 import math
@@ -132,16 +135,34 @@ class FockRep:
     n_matrix: "np.ndarray"
 
 
+def _superdiagonal(dim, point):
+    """[sqrt([[1]]), ..., sqrt([[dim-1]])]: the superdiagonal of A in the
+    dim-dimensional truncation, the only non-zero entries of A and A+."""
+    if not isinstance(dim, Integral) or dim < 2:
+        raise DomainError(f"representation dimension must be an integer >= 2, got {dim!r}")
+    return [math.sqrt(bracket) for bracket in _brackets(dim - 1, point.q, point.p)[1:]]
+
+
+def _ladder_residuals(s, q, p):
+    """Max residuals of the two ladder relations on the first dim-1 columns,
+    from the superdiagonal s of A: both relations are diagonal there, with
+    A A+ = diag(s^2) and A+ A = diag(0, s^2 without its last entry)."""
+    aad = [x * x for x in s]
+    ada = [0.0, *aad[:-1]]
+    r1 = max(abs(aa - q * ad - p ** n) for n, (aa, ad) in enumerate(zip(aad, ada)))
+    r2 = max(abs(aa - p * ad - q ** n) for n, (aa, ad) in enumerate(zip(aad, ada)))
+    return r1, r2
+
+
 def fock_rep(dim, point):
     """Build the dim-dimensional truncated representation.
 
     The defining relations hold on the first dim-1 basis columns; the top
     state is necessarily violated by the cutoff.
     """
-    if not isinstance(dim, Integral) or dim < 2:
-        raise DomainError(f"representation dimension must be an integer >= 2, got {dim!r}")
+    s = _superdiagonal(dim, point)
     import numpy as np
-    a = np.diag(np.sqrt(_brackets(dim - 1, point.q, point.p)[1:]), 1)
+    a = np.diag(s, 1)
     return FockRep(dim=dim, a_matrix=a, a_dagger_matrix=a.T.copy(),
                    n_matrix=np.diag(np.arange(dim, dtype=float)))
 
@@ -152,18 +173,14 @@ def fock_residuals(rep, point):
 
     Checks FockRep's structure first (DomainError counts the stray entries);
     then both relations are diagonal and take O(dim) from the superdiagonal
-    s of A: A A+ = diag(s^2, 0), A+ A = diag(0, s^2).
+    of A, by _ladder_residuals.
     """
     import numpy as np
-    a, q, p = rep.a_matrix, point.q, point.p
+    a = rep.a_matrix
     s = np.diag(a, 1)
     stray = (np.count_nonzero(a) - np.count_nonzero(s)
              + np.count_nonzero(rep.a_dagger_matrix != a.T))
     if stray:
         raise DomainError(f"{stray} stray entries: A must vanish off its "
                           "superdiagonal and A+ must equal A^T")
-    aad, ada = s * s, np.append(0.0, s[:-1] * s[:-1])  # diagonals, first dim-1 columns
-    p_n, q_n = (np.array([x ** n for n in range(rep.dim - 1)]) for x in (p, q))
-    r1 = np.abs(aad - q * ada - p_n).max()
-    r2 = np.abs(aad - p * ada - q_n).max()
-    return float(r1), float(r2)
+    return _ladder_residuals(s.tolist(), point.q, point.p)

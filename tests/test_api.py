@@ -67,15 +67,81 @@ WITHOUT_NUMPY = ("import sys; sys.modules['numpy'] = None; "
                  "from qposc.cli import main; sys.exit(main(sys.argv[1:]))")
 
 
-@pytest.mark.parametrize("name", sorted(set(README_ARGV) - {"fock"}))
+@pytest.mark.parametrize("name", sorted(README_ARGV))
 def test_numpy_free_readme_examples_run_without_numpy(name):
     out = run_fresh("-c", WITHOUT_NUMPY, *README_ARGV[name])
     assert out.stdout == (README_CLI / f"{name}.csv").read_bytes()
 
 
 def test_fock_fails_without_numpy():
-    # shows that the block above takes effect
+    # shows that the block above takes effect: the library's fock_rep needs numpy
     with pytest.raises(subprocess.CalledProcessError) as exc:
-        run_fresh("-c", WITHOUT_NUMPY, *README_ARGV["fock"])
+        run_fresh("-c", "import sys; sys.modules['numpy'] = None; import qposc; "
+                  "pt = qposc.DeformationPoint(0.5, 0.25); "
+                  "print(qposc.fock_residuals(qposc.fock_rep(8, pt), pt))")
     assert exc.value.stdout == b""
     assert b"numpy" in exc.value.stderr
+
+
+def loaded_after(code):
+    """The qposc and numpy modules loaded by a fresh process running code."""
+    out = run_fresh("-c", f"import sys\n{code}\nprint(*sorted(sys.modules))")
+    return {name for name in out.stdout.decode().split()
+            if name.split(".")[0] in ("qposc", "numpy")}
+
+
+CLI = {"qposc", "qposc.cli", "qposc.errors"}
+SUBCOMMAND_MODULES = {
+    "curve": CLI | {"qposc.degeneracy"},
+    "fock": CLI | {"qposc.core"},
+    "solve_power": CLI | {"qposc.core", "qposc.degeneracy", "qposc.families"},
+    "solve_log": CLI | {"qposc.core", "qposc.degeneracy", "qposc.families"},
+    "spectrum": CLI | {"qposc.core", "qposc.degeneracy", "qposc.families",
+                       "qposc.spectrum"},
+    "intercept": CLI | {"qposc.core", "qposc.degeneracy", "qposc.families",
+                        "qposc.intercept"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(README_ARGV))
+def test_subcommand_loads_only_what_it_runs(name):
+    argv = [*README_ARGV[name], "--out", os.devnull]
+    assert loaded_after(f"from qposc.cli import main\nmain({argv!r})") \
+        == SUBCOMMAND_MODULES[name]
+
+
+def test_bare_import_loads_only_the_error_types():
+    assert loaded_after("import qposc") == {"qposc", "qposc.errors"}
+
+
+SUBMODULES = ("cli", "core", "degeneracy", "errors", "families", "intercept", "spectrum")
+
+
+def test_lazy_names_resolve_to_their_home_module():
+    # one fresh process: none of these names is resolved before the loop
+    run_fresh("-c", f"""
+import importlib, qposc
+for name in {SUBMODULES!r}:
+    assert getattr(qposc, name) is importlib.import_module("qposc." + name), name
+for name in qposc.__all__[1:]:  # after __version__
+    value = getattr(qposc, name)
+    bound = [vars(getattr(qposc, mod))[name] for mod in {SUBMODULES!r}
+             if name in vars(getattr(qposc, mod))]
+    assert bound and all(other is value for other in bound), name
+    home = getattr(value, "__module__", "qposc.core")  # EPS_EQUAL is a float
+    assert value is getattr(importlib.import_module(home), name), name
+""")
+
+
+def test_star_import_binds_all_public_names():
+    run_fresh("-c", "from qposc import *; import qposc\n"
+              "assert all(globals()[name] is getattr(qposc, name) for name in qposc.__all__)")
+
+
+def test_dir_lists_public_and_submodule_names():
+    assert set(qposc.__all__) | set(SUBMODULES) <= set(dir(qposc))
+
+
+def test_unknown_name_raises_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        qposc.no_such_name  # noqa: B018

@@ -68,7 +68,7 @@ class TestCurveCommand:
     def test_consistency_error_exits_three(self, capsys, monkeypatch):
         def boom(cond, n):
             raise ConsistencyError("forced")
-        monkeypatch.setattr("qposc.cli.trace_curve", boom)
+        monkeypatch.setattr("qposc.degeneracy.trace_curve", boom)
         code, _, err = run_cli(capsys, "curve", "--levels", "0,2")
         assert code == 3
         assert "consistency error" in err
@@ -128,7 +128,7 @@ class TestSolveCommand:
     def test_inadmissible_family_names_its_first_violation(self, capsys, monkeypatch):
         # f(1) = 1 and f stays in [0, 1], but it falls from q = 0 to q = 1/2
         dipping = CustomFamily(lambda q: 1.0 - q * (1.0 - q), "dip")
-        monkeypatch.setattr("qposc.cli.parse_family", lambda text: dipping)
+        monkeypatch.setattr("qposc.families.parse_family", lambda text: dipping)
         code, out, err = run_cli(capsys, "solve", "--levels", "0,2", "--family", "power:1")
         assert code == 2
         assert out == ""
@@ -182,7 +182,7 @@ class TestSpectrumCommand:
         def counted(n_max, point):
             calls.append(n_max)
             return energy_spectrum(n_max, point)
-        monkeypatch.setattr("qposc.cli.energy_spectrum", counted)
+        monkeypatch.setattr("qposc.core.energy_spectrum", counted)
         monkeypatch.setattr("qposc.spectrum.energy_spectrum", counted)
         for q, n_max in (("0.4", "200"), ("1", "5"), ("0.4", "1")):
             calls.clear()
@@ -262,7 +262,7 @@ class TestOutputContract:
     def test_failing_command_writes_nothing(self, capsys, monkeypatch, tmp_path):
         def boom(cond, n):
             raise ConsistencyError("forced")
-        monkeypatch.setattr("qposc.cli.trace_curve", boom)  # reached by "0,2" only
+        monkeypatch.setattr("qposc.degeneracy.trace_curve", boom)  # reached by "0,2" only
         target = tmp_path / "table.csv"
         for levels, expected in (("0;2", 1), ("0,0", 2), ("0,2", 3)):
             for out in ([], ["--out", str(target)]):

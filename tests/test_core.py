@@ -6,10 +6,13 @@ from itertools import islice
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qposc import (DeformationPoint, DomainError, FockRep, energy_iter,
                    energy_level, energy_spectrum, fock_rep, fock_residuals,
                    qp_bracket, qp_bracket_int)
+from qposc.core import _ladder_residuals, _superdiagonal
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -28,6 +31,15 @@ def mp_spectrum(n_max, q, p):
             brackets.append(q * brackets[-1] + p_pow)
             p_pow *= p
         return [(brackets[n + 1] + brackets[n]) / 2 for n in range(n_max + 1)]
+
+
+unit = st.floats(0.0, 1.0)
+square_points = st.one_of(
+    st.tuples(unit, unit),
+    st.tuples(st.just(0.0), unit), st.tuples(unit, st.just(0.0)),  # the axes
+    unit.map(lambda x: (x, x)),  # the diagonal q = p
+    st.just((1.0, 1.0)),
+).filter(lambda qp: qp != (0.0, 0.0)).map(lambda qp: DeformationPoint(*qp))
 
 
 def dense_residuals(rep, pt):
@@ -265,6 +277,19 @@ class TestFock:
             for dim in (2, 3, int(rng.integers(4, 65)), 64):
                 rep = fock_rep(dim, pt)
                 assert fock_residuals(rep, pt) == dense_residuals(rep, pt)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.integers(2, 600), square_points)
+    @example(2, DeformationPoint(0.0, 0.5))
+    @example(600, DeformationPoint(0.7, 0.0))
+    @example(600, DeformationPoint(0.3, 0.3))
+    @example(600, DeformationPoint(1.0, 1.0))
+    def test_numpy_free_helpers_equal_the_matrix_path(self, dim, pt):
+        # qposc fock reads these two helpers; the library goes through FockRep
+        s = _superdiagonal(dim, pt)
+        rep = fock_rep(dim, pt)
+        assert s == np.diag(rep.a_matrix, 1).tolist()
+        assert _ladder_residuals(s, pt.q, pt.p) == fock_residuals(rep, pt)
 
     def test_stray_entry_rejected(self):
         pt = DeformationPoint(0.6, 0.9)
