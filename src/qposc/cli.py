@@ -48,7 +48,7 @@ def _validated_family(text):
     fam = parse_family(text)
     report = validate_family(fam)
     if not report.passed:
-        q, reason = report.violations[0]  # add() keeps the first _CAP of them
+        q, reason = report.violations[0]  # the first of at most _CAP, in grid order
         raise DomainError(f"{fam.label} is not admissible: {reason} at q={q}")
     return fam
 

@@ -53,18 +53,14 @@ class DeformationPoint:
 
 
 def _bracket_iter(q, p):
-    """Yield [[0]], [[1]], ... by the recurrence, run with q >= p (p^0 == 1)."""
+    """Yield [[0]], [[1]], ... by the recurrence, run with q >= p (p^0 == 1):
+    every integer bracket is read from here."""
     if q < p:
         q, p = p, q
     bracket, p_pow = 0.0, 1.0
     while True:
         yield bracket
         bracket, p_pow = q * bracket + p_pow, p_pow * p
-
-
-def _brackets(n, q, p):
-    """[[[0]], [[1]], ..., [[n]]]: every integer bracket is read from here."""
-    return list(islice(_bracket_iter(q, p), n + 1))
 
 
 def _check_level(n):
@@ -78,7 +74,7 @@ def qp_bracket_int(k, point):
     """The bracket [[k]] for an integer k >= 0, by [[k+1]] = q [[k]] + p^k;
     no special case at q == p or on the axes, where p^0 == 1 gives [[1]] == 1."""
     _check_level(k)
-    return _brackets(k, point.q, point.p)[-1]
+    return next(islice(_bracket_iter(point.q, point.p), k, None))
 
 
 def qp_bracket(x, point):
@@ -94,7 +90,7 @@ def qp_bracket(x, point):
     if not math.isfinite(x):
         raise DomainError(f"bracket argument must be finite, got {x}")
     if x.is_integer() and x >= 0:
-        return _brackets(int(x), point.q, point.p)[-1]
+        return next(islice(_bracket_iter(point.q, point.p), int(x), None))
     q, p = max(point.q, point.p), min(point.q, point.p)
     if p == 0.0:
         raise DomainError(f"[[{x}]] is undefined on the axes (power of zero)")
@@ -106,7 +102,8 @@ def qp_bracket(x, point):
 
 def energy_level(n, point):
     """E_n = ([[n+1]] + [[n]]) / 2 for the deformed oscillator."""
-    return energy_spectrum(n, point)[n]
+    _check_level(n)
+    return next(islice(energy_iter(point), n, None))
 
 
 def energy_spectrum(n_max, point):
@@ -121,12 +118,13 @@ def energy_iter(point):
             for lower, upper in pairwise(_bracket_iter(point.q, point.p)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FockRep:
     """Truncated number-basis matrices of the deformed ladder operators.
 
     a_matrix annihilates (zero but for its superdiagonal sqrt([[1]]), ...),
     a_dagger_matrix is its transpose, n_matrix = diag(0, 1, ..., dim-1).
+    Records compare by identity, so they hash; arrays have no single truth value.
     """
 
     dim: int
@@ -140,7 +138,7 @@ def _superdiagonal(dim, point):
     dim-dimensional truncation, the only non-zero entries of A and A+."""
     if not isinstance(dim, Integral) or dim < 2:
         raise DomainError(f"representation dimension must be an integer >= 2, got {dim!r}")
-    return [math.sqrt(bracket) for bracket in _brackets(dim - 1, point.q, point.p)[1:]]
+    return [math.sqrt(bracket) for bracket in islice(_bracket_iter(point.q, point.p), 1, dim)]
 
 
 def _ladder_residuals(s, q, p):

@@ -52,14 +52,18 @@ class ReductionFamily:
         return hash((type(self), frozenset(vars(self).items())))
 
 
+def _parameter(value, name, allow_zero=False):
+    """float(value), which must be finite and > 0 (>= 0 with allow_zero)."""
+    value = float(value)
+    if not (math.isfinite(value) and (value > 0.0 or allow_zero and value == 0.0)):
+        raise DomainError(f"{name} must be {'>=' if allow_zero else '>'} 0, got {value}")
+    return value
+
+
 class PowerFamily(ReductionFamily):
     def __init__(self, exponent):
-        exponent = float(exponent)
-        if not math.isfinite(exponent) or exponent < 0.0:
-            raise DomainError(f"power exponent must be >= 0, got {exponent}")
-        self.exponent = exponent
-        self.label = f"power:{exponent:g}"
-        self.domain_low = 0.0
+        self.exponent = _parameter(exponent, "power exponent", allow_zero=True)
+        self.label = f"power:{self.exponent:g}"
 
     def p_of_qs(self, qs):
         exponent = self.exponent
@@ -68,10 +72,7 @@ class PowerFamily(ReductionFamily):
 
 class LogFamily(ReductionFamily):
     def __init__(self, alpha):
-        alpha = float(alpha)
-        if not math.isfinite(alpha) or alpha <= 0.0:
-            raise DomainError(f"log coefficient must be > 0, got {alpha}")
-        self.alpha = alpha
+        self.alpha = alpha = _parameter(alpha, "log coefficient")
         self.label = f"log:{alpha:g}"
         self.domain_low = math.exp(-1.0 / alpha)  # where p reaches 0
         if self.domain_low == 0.0:
@@ -88,12 +89,8 @@ class LogFamily(ReductionFamily):
 
 class ExpFamily(ReductionFamily):
     def __init__(self, alpha):
-        alpha = float(alpha)
-        if not math.isfinite(alpha) or alpha <= 0.0:
-            raise DomainError(f"exp coefficient must be > 0, got {alpha}")
-        self.alpha = alpha
-        self.label = f"exp:{alpha:g}"
-        self.domain_low = 0.0
+        self.alpha = _parameter(alpha, "exp coefficient")
+        self.label = f"exp:{self.alpha:g}"
 
     def p_of_qs(self, qs):
         alpha, exp = self.alpha, math.exp
@@ -175,38 +172,31 @@ class FamilyReport:
 
     _CAP = 10
 
-    def add(self, q, reason):
-        self.n_violations += 1
-        if len(self.violations) < self._CAP:
-            self.violations.append((q, reason))
-        self.passed = False
-
 
 def validate_family(fam):
     """Check the two admissibility requirements on a uniform grid:
     f is non-decreasing on [domain_low, 1] and f(1) = 1 (plus 0 <= f <= 1).
-    One p_of_qs call evaluates the grid; the per-point loops that name the
-    violations run only where a C-level pass shows something to report."""
+    One p_of_qs call evaluates the grid, and C-level passes decide whether
+    the per-point passes that collect the (q, reason) violations run at all."""
     lo = fam.domain_low
     step = (1.0 - lo) / (_VALIDATE_GRID - 1)
     qs = [lo + i * step for i in range(_VALIDATE_GRID - 1)] + [1.0]
     ps = fam.p_of_qs(qs)
 
-    report = FamilyReport(passed=True, endpoint_value=ps[-1])
+    found = []
     if abs(ps[-1] - 1.0) > _BOUNDS_SLACK:
-        report.add(1.0, f"f(1) = {ps[-1]!r}, expected 1")
+        found.append((1.0, f"f(1) = {ps[-1]!r}, expected 1"))
     rising = all(map(operator.le, ps, ps[1:]))  # False next to any NaN
     if not (rising and -_BOUNDS_SLACK <= ps[0] and ps[-1] <= 1.0 + _BOUNDS_SLACK):
-        for q, p in zip(qs, ps):
-            if not math.isfinite(p) or p < -_BOUNDS_SLACK or p > 1.0 + _BOUNDS_SLACK:
-                report.add(q, f"f(q) = {p!r} outside [0, 1]")
+        found += [(q, f"f(q) = {p!r} outside [0, 1]") for q, p in zip(qs, ps)
+                  if not math.isfinite(p) or p < -_BOUNDS_SLACK or p > 1.0 + _BOUNDS_SLACK]
     if not rising:
-        for i in range(len(qs) - 1):
-            if ps[i + 1] < ps[i] - _BOUNDS_SLACK:
-                report.add(qs[i + 1], f"f decreases: {ps[i]!r} -> {ps[i + 1]!r}")
-    if isinstance(fam, PowerFamily) and fam.exponent == 0.0:
-        report.notes.append("boundary member: constant map p = 1")
-    return report
+        found += [(q, f"f decreases: {a!r} -> {b!r}") for q, a, b in zip(qs[1:], ps, ps[1:])
+                  if b < a - _BOUNDS_SLACK]
+    notes = (["boundary member: constant map p = 1"]
+             if isinstance(fam, PowerFamily) and fam.exponent == 0.0 else [])
+    return FamilyReport(passed=not found, endpoint_value=ps[-1], notes=notes,
+                        violations=found[:FamilyReport._CAP], n_violations=len(found))
 
 
 def solve_degeneracy_on_family(fam, cond):

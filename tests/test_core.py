@@ -1,6 +1,7 @@
 """Bracket, energy-level and Fock-representation checks."""
 
 import math
+import tracemalloc
 from itertools import islice
 
 import mpmath
@@ -226,7 +227,54 @@ class TestEnergies:
                 energy_spectrum(bad, pt)
 
 
+def listed_brackets(n, q, p):
+    # [[0]] ... [[n]] built as a list by the recurrence, run with q >= p
+    q, p = max(q, p), min(q, p)
+    brackets, p_pow = [0.0], 1.0
+    for _ in range(n):
+        brackets.append(q * brackets[-1] + p_pow)
+        p_pow *= p
+    return brackets
+
+
+class TestOneValue:
+    # one bracket or one level is read off the recurrence without keeping the rest
+
+    CALLS = [
+        ("qp_bracket_int", lambda n, pt: qp_bracket_int(n, pt)),
+        ("qp_bracket", lambda n, pt: qp_bracket(n, pt)),
+        ("energy_level", lambda n, pt: energy_level(n, pt)),
+    ]
+
+    @pytest.mark.parametrize("name, call", CALLS, ids=[name for name, _ in CALLS])
+    def test_peak_memory_is_constant(self, name, call):
+        pt = DeformationPoint(0.999, 0.998)
+        tracemalloc.start()
+        try:
+            call(200_000, pt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, f"{name}: peak {peak} bytes"
+
+    @pytest.mark.parametrize("q, p", [(0.4, 0.8), (0.8, 0.4), (0.5, 0.5), (1.0, 1.0),
+                                      (0.0, 0.7), (0.999, 0.998)])
+    def test_values_equal_the_listed_ones(self, q, p):
+        pt = DeformationPoint(q, p)
+        for n in (0, 1, 2, 10, 1000):
+            bracket = listed_brackets(n, q, p)[-1]
+            assert qp_bracket_int(n, pt) == bracket
+            assert qp_bracket(float(n), pt) == bracket
+            assert energy_level(n, pt) == energy_spectrum(n, pt)[n]
+
+
 class TestFock:
+    def test_record_compares_by_identity_and_hashes(self):
+        pt = DeformationPoint(0.5, 0.25)
+        rep, twin = fock_rep(3, pt), fock_rep(3, pt)
+        assert rep == rep and rep != twin
+        assert len({rep, twin, rep}) == 2
+
     def test_undeformed_number_operator(self):
         rep = fock_rep(3, DeformationPoint(1.0, 1.0))
         assert np.allclose(rep.a_dagger_matrix @ rep.a_matrix,

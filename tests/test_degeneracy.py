@@ -286,6 +286,12 @@ class TestEndpoint:
 
 
 class TestTrace:
+    def test_degenerate_tangent_raises(self, monkeypatch):
+        # both partials vanishing is a ConsistencyError, never a silent slope
+        monkeypatch.setattr("qposc.degeneracy._residual_dq", lambda cond, q, p: 0.0)
+        with pytest.raises(ConsistencyError, match="degenerate tangent"):
+            trace_curve(DegeneracyCondition(1, 2), 3)
+
     def test_ground_three_samples(self):
         cond = DegeneracyCondition(0, 2)
         trace = trace_curve(cond, 3)

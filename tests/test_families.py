@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qposc import (CustomFamily, DeformationPoint, DomainError, ExpFamily,
-                   FamilyReport, LogFamily, PowerFamily, energy_level, family_energy,
+                   FamilyReport, LogFamily, PowerFamily, ReductionFamily, energy_level, family_energy,
                    family_p, intercept_curve, parse_family, profile,
                    solve_degeneracy_on_family, validate_family)
 from qposc import DegeneracyCondition as Cond
@@ -114,7 +114,8 @@ class TestFamilyMaps:
 
 
 class TestPinnedMessages:
-    # the exact texts of family_p and of CustomFamily's domain check
+    # the exact texts of family_p, of CustomFamily's domain check and of the
+    # built-in parameter rule
 
     @pytest.mark.parametrize("q", [-0.1, 1.5, math.nan, math.inf])
     def test_q_outside_the_domain(self, q):
@@ -144,6 +145,50 @@ class TestPinnedMessages:
         with pytest.raises(DomainError) as exc:
             CustomFamily(lambda q: q, "id", domain_low=low)
         assert str(exc.value) == f"domain_low must lie in [0, 1), got {low}"
+
+    @pytest.mark.parametrize("maker, value, text", [
+        (PowerFamily, -1, "power exponent must be >= 0, got -1.0"),
+        (PowerFamily, math.nan, "power exponent must be >= 0, got nan"),
+        (PowerFamily, math.inf, "power exponent must be >= 0, got inf"),
+        (PowerFamily, -math.inf, "power exponent must be >= 0, got -inf"),
+        (LogFamily, -1, "log coefficient must be > 0, got -1.0"),
+        (LogFamily, 0, "log coefficient must be > 0, got 0.0"),
+        (LogFamily, -0.0, "log coefficient must be > 0, got -0.0"),
+        (LogFamily, 1e-400, "log coefficient must be > 0, got 0.0"),
+        (LogFamily, math.nan, "log coefficient must be > 0, got nan"),
+        (LogFamily, math.inf, "log coefficient must be > 0, got inf"),
+        (ExpFamily, -1, "exp coefficient must be > 0, got -1.0"),
+        (ExpFamily, 0, "exp coefficient must be > 0, got 0.0"),
+        (ExpFamily, -0.0, "exp coefficient must be > 0, got -0.0"),
+        (ExpFamily, 1e-400, "exp coefficient must be > 0, got 0.0"),
+        (ExpFamily, math.nan, "exp coefficient must be > 0, got nan"),
+        (ExpFamily, -math.inf, "exp coefficient must be > 0, got -inf"),
+    ])
+    def test_parameter_outside_its_range(self, maker, value, text):
+        with pytest.raises(DomainError) as exc:
+            maker(value)
+        assert str(exc.value) == text
+
+    @pytest.mark.parametrize("maker", [PowerFamily, LogFamily, ExpFamily])
+    def test_parameter_that_is_not_a_number(self, maker):
+        with pytest.raises(ValueError) as exc:
+            maker("x")
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == "could not convert string to float: 'x'"
+
+    @pytest.mark.parametrize("value, label", [(0, "power:0"), (-0.0, "power:-0"),
+                                              (1e-400, "power:0")])
+    def test_power_exponent_zero_accepted(self, value, label):
+        fam = PowerFamily(value)
+        assert (fam.label, fam.domain_low) == (label, 0.0)
+        assert validate_family(fam).notes == ["boundary member: constant map p = 1"]
+
+    def test_subclass_without_a_map(self):
+        class Bare(ReductionFamily):
+            label = "bare"
+
+        with pytest.raises(NotImplementedError):
+            Bare().p_of_q(0.5)
 
 
 class TestValidation:
