@@ -23,6 +23,7 @@ calls directly, in O(dim) time and memory and without numpy.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import islice, pairwise
 from numbers import Integral
@@ -64,10 +65,14 @@ def _bracket_iter(q, p):
 
 
 def _check_level(n):
+    """Every integer index, of a bracket or a level, passes here; the bound
+    is islice's, which energy_spectrum's n + 1 must meet too."""
     if not isinstance(n, (int, Integral)) or isinstance(n, bool):  # int skips the ABC hook
         raise DomainError(f"level index must be an integer, got {n!r}")
     if n < 0:
         raise DomainError(f"level index must be non-negative, got {n}")
+    if n >= sys.maxsize:
+        raise DomainError(f"level index must be below sys.maxsize = {sys.maxsize}, got {n}")
 
 
 def qp_bracket_int(k, point):
@@ -90,7 +95,7 @@ def qp_bracket(x, point):
     if not math.isfinite(x):
         raise DomainError(f"bracket argument must be finite, got {x}")
     if x.is_integer() and x >= 0:
-        return next(islice(_bracket_iter(point.q, point.p), int(x), None))
+        return qp_bracket_int(int(x), point)
     q, p = max(point.q, point.p), min(point.q, point.p)
     if p == 0.0:
         raise DomainError(f"[[{x}]] is undefined on the axes (power of zero)")

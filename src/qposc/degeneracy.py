@@ -5,7 +5,7 @@ square, with the residual
 
     F = [[m2+1]] + [[m2]] - [[m1+1]] - [[m1]] = 2 (E_{m2} - E_{m1}),
 
-a symmetric polynomial summed monomial by monomial.  Every pair obeys the
+a symmetric polynomial with integer coefficients.  Every pair obeys the
 level-set identity
 
     (q - p) F(q, p) = phi(q) - phi(p),    phi(x) = (1 + x)(x^m2 - x^m1),
@@ -26,16 +26,18 @@ On (0, 1), -phi(x) = (1 + x) x^m1 (1 - x^d) > 0 with d = m2 - m1, so
 costs O(1) for every pair, is concave, and peaks where phi has its minimum.
 Off the diagonal the curve is L(p) = L(q), and
 sign F(q, p) = sign((L(p) - L(q)) / (q - p)).  Every p-root, endpoint_q's
-too, is estimated by Newton on L, and F has the last word: the root is one
-of two adjacent floats at which F computes to opposite signs, found by
-bisect_bracket, which the in-family solver of qposc.families uses too.
+too, is estimated by Newton on L, and F has the last word.  Floats are
+dyadic rationals, so the identity gives F exactly as a quotient of Python
+ints, rounded once (_residual_raw): every computed sign of F is its true
+sign, and the root is the one pair of adjacent floats at which that sign
+changes.  Newton's estimate and its neighbour are usually that pair
+(_certified_bracket); bisect_bracket, which the in-family solver of
+qposc.families uses too, finishes the rest.
 """
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, repeat
 from numbers import Integral
 from typing import NamedTuple, Optional
 
@@ -72,35 +74,64 @@ class DegeneracyCondition:
         return GENERAL
 
 
-def _pows(x, n):
-    """[x^0, x^1, ..., x^n] by repeated multiplication (x^0 == 1 even at x = 0)."""
-    return list(accumulate(repeat(x, n), operator.mul, initial=1.0))
+def _dyadic(q, p):
+    """(n_q, n_p, e): q = n_q / 2^e and p = n_p / 2^e exactly, as every
+    float is a dyadic rational."""
+    (a, b), (c, f) = q.as_integer_ratio(), p.as_integer_ratio()
+    if b < f:
+        a *= f // b
+    else:
+        c *= b // f
+    return a, c, max(b, f).bit_length() - 1
 
 
-def _signed_brackets(cond):
-    """(k, sign) of each bracket in F; a bracket that enters with both signs
-    ([[m2]] = [[m1+1]] for a neighbour pair) cancels exactly and is left out."""
-    terms = ((cond.m2 + 1, 1.0), (cond.m2, 1.0), (cond.m1 + 1, -1.0), (cond.m1, -1.0))
-    return [(k, sign) for k, sign in terms if (k, -sign) not in terms]
+def _phi_int(cond, n, e, j=0):
+    """The j-th derivative of the integer polynomial
+    Phi(n) = phi(x) 2^(e (m2 + 1)) at x = n / 2^e, so that
+    phi^(j)(x) = Phi^(j)(n) / 2^(e (m2 + 1 - j)).  With
+    u = 2^e (x = 1) and d = m2 - m1,
+
+        Phi(n) = n^(m2+1) + u n^m2 - u^d (n^(m1+1) + u n^m1),
+
+    so n^j Phi^(j)(n) has the factor n^m1, and n^m1 and n^d are its only
+    big powers."""
+    m1, m2, d = cond.m1, cond.m2, cond.m2 - cond.m1
+    unit, unit_d = 1 << e, 1 << e * d
+    if not j:  # the hot case
+        return (unit + n) * n ** m1 * (n ** d - unit_d)
+    if not n:  # j! times Phi's coefficient of n^j
+        terms = ((m2 + 1, 1), (m2, unit), (m1 + 1, -unit_d), (m1, -unit_d * unit))
+        return math.factorial(j) * sum(c for k, c in terms if k == j)
+    perm = math.perm
+    return n ** m1 * (n ** d * (perm(m2 + 1, j) * n + perm(m2, j) * unit)
+                      - (perm(m1 + 1, j) * n + perm(m1, j) * unit) * unit_d) // n ** j
 
 
-def _monomials(cond, q, p):
-    """The signed monomials q^(k-1-r) p^r of each bracket [[k]] in F."""
-    qp, pp = _pows(q, cond.m2), _pows(p, cond.m2)
-    return [sign * qp[k - 1 - r] * pp[r] for k, sign in _signed_brackets(cond) for r in range(k)]
+def _residual_int(cond, nq, np_, e):
+    """N = F(q, p) 2^(e m2), an integer: (Phi(n_q) - Phi(n_p)) / (n_q - n_p)
+    off the diagonal, Phi'(n) on it."""
+    if nq == np_:
+        return _phi_int(cond, nq, e, 1)
+    return (_phi_int(cond, nq, e) - _phi_int(cond, np_, e)) // (nq - np_)
 
 
 def _residual_raw(cond, q, p):
-    """F as one correctly rounded sum (math.fsum) of its monomials."""
-    return math.fsum(_monomials(cond, q, p))
+    """F(q, p) correctly rounded: the exact quotient N / 2^(e m2) of Python
+    ints (CPython's int / int rounds correctly), so its sign is F's own
+    unless |F| <= 2^-1075 rounds to 0.0."""
+    nq, np_, e = _dyadic(q, p)
+    return _residual_int(cond, nq, np_, e) / (1 << e * cond.m2)
 
 
 def _residual_dq(cond, q, p):
-    """dF/dq, the same sum over the monomials' q-derivatives.  F is
-    symmetric in (q, p), so dF/dp is this with the arguments swapped."""
-    qp, pp = _pows(q, cond.m2), _pows(p, cond.m2)
-    return math.fsum([sign * (k - 1 - r) * pp[r] * qp[k - 2 - r]
-                      for k, sign in _signed_brackets(cond) for r in range(k - 1)])
+    """dF/dq correctly rounded, from the same integers: (phi'(q) - F) / (q - p)
+    off the diagonal, phi''(x) / 2 on it.  F is symmetric in (q, p), so
+    dF/dp is this with the arguments swapped."""
+    nq, np_, e = _dyadic(q, p)
+    if nq == np_:
+        return _phi_int(cond, nq, e, 2) / (2 << e * (cond.m2 - 1))
+    num = _phi_int(cond, nq, e, 1) - _residual_int(cond, nq, np_, e)
+    return num / ((nq - np_) << e * (cond.m2 - 1))
 
 
 def residual(cond, point):
@@ -155,10 +186,24 @@ def _estimate_p(cond, q, lo, hi):
 def _certified_bracket(f, p, lo, hi):
     """Shrink the bracket f(lo) <= 0 < f(hi) to one around the estimate p.
 
-    Trial ends p -+ k ulps, k = 4, 256, ... (x64), are evaluated while they
-    lie inside [lo, hi]; each one becomes the end whose sign it has.  The
-    given ends are never evaluated.
+    f's signs are exact, so the root is the one pair of adjacent floats
+    where f's sign changes.  p, if inside (lo, hi), is evaluated first and
+    becomes the end whose sign it has; then its neighbour towards the root:
+    if the two signs differ they are that pair, and the trials below lie
+    outside it.  Trial ends p -+ k ulps, k = 4, 256, ... (x64), are
+    evaluated while they lie inside [lo, hi]; each one becomes the end
+    whose sign it has.  The given ends are never evaluated.
     """
+    if lo < p < hi:  # p, then its neighbour towards the root
+        if f(p) > 0.0:
+            hi, x = p, math.nextafter(p, -math.inf)
+        else:
+            lo, x = p, math.nextafter(p, math.inf)
+        if lo < x < hi:
+            if f(x) > 0.0:
+                hi = x
+            else:
+                lo = x
     w = 4.0 * math.ulp(p)
     while True:
         a, b = p - w, p + w
@@ -207,18 +252,18 @@ def _root(cond, q, lo, hi):
 def solve_p_for_q(cond, q) -> Optional[float]:
     """The unique p in [0, 1] with residual(cond, (q, p)) == 0, or None.
 
-    F(q, .) rises through its root on the p-bracket that the computed sign
-    of F(q, q) = phi'(q) picks (see the module docstring).  On the falling
+    F(q, .) rises through its root on the p-bracket that the sign of
+    F(q, q) = phi'(q) picks (see the module docstring).  On the falling
     branch, F(q, q) <= 0, the bracket is [q, 1]: F(q, 1) = phi(q) / (q - 1)
     is stated positive, not computed (it may vanish at q = 0, where p = 1 is
     the root).  On the rising branch the bracket is [0, q], and only
     F(q, 0) >= 0 leaves no interior root: a ground curve past its endpoint
-    q_m.  Within a few ulps of phi's minimum rounding can pick the wrong
-    branch; the bisection then ends next to q, which is the root there.
+    q_m.  F's signs are exact, so the branch is never the wrong one.
 
-    Newton on L(p) = L(q) estimates the root and F certifies it a few ulps
-    wide before the bisection (_root): about 7 evaluations of F per root.
-    Only where Newton has no start is the whole bracket bisected.
+    Newton on L(p) = L(q) estimates the root, and F at the estimate and
+    at its neighbour usually certifies it (_root): 3 evaluations of F per
+    root in the median, with F(q, q).  Only where Newton has no start is
+    the whole bracket bisected.
     """
     q = float(q)
     if not (math.isfinite(q) and 0.0 <= q <= 1.0):
@@ -248,24 +293,38 @@ def _slope(cond, q, p):
     return -dq / dp + 0.0  # + 0.0 normalizes -0.0
 
 
+def _monomial_scale(cond, q, p):
+    """The sum of |monomials| of F: the sum of the brackets left in F, all
+    non-negative on the square, less the pair [[m2]] = [[m1+1]] that cancels
+    for m2 = m1 + 1, by [[k+1]] = q [[k]] + p^k."""
+    ks = {cond.m2 + 1, cond.m2, cond.m1 + 1, cond.m1}
+    if cond.m2 == cond.m1 + 1:
+        ks.remove(cond.m2)
+    bracket, p_pow, total = 0.0, 1.0, 0.0
+    for k in range(cond.m2 + 2):
+        if k in ks:
+            total += bracket
+        bracket, p_pow = q * bracket + p_pow, p_pow * p
+    return total
+
+
 def implicit_derivative(cond, point):
     """Curve slope dp/dq = -(dF/dq)/(dF/dp) at a point on the curve.
 
     The point must satisfy |residual| < 1e-8, and |residual| <= 1e-8 times
-    the sum of |monomials| of F: near q = 0 a high pair's F is tiny
-    everywhere, on the curve or off it.  A vanishing dF/dp is rejected: a
-    vertical tangent at an extent endpoint, or partials that underflow to 0
-    together with F, as at q = 0 with p tiny.
+    the sum of |monomials| of F (_monomial_scale): near q = 0 a high pair's
+    F is tiny everywhere, on the curve or off it.  A vanishing dF/dp is
+    rejected: a vertical tangent at an extent endpoint, or partials that
+    underflow to 0 together with F, as at q = 0 with p tiny.
     """
     q, p = point.q, point.p
-    terms = _monomials(cond, q, p)
-    r = math.fsum(terms)
-    if not (abs(r) < _ON_CURVE_TOL and abs(r) <= _ON_CURVE_TOL * sum(map(abs, terms))):
+    r = _residual_raw(cond, q, p)
+    if not (abs(r) < _ON_CURVE_TOL and abs(r) <= _ON_CURVE_TOL * _monomial_scale(cond, q, p)):
         raise DomainError(f"point ({q}, {p}) is not on the {cond} curve "
                           f"(|residual| = {abs(r):.3g})")
     dq, dp = _residual_dq(cond, q, p), _residual_dq(cond, p, q)
     if dp == 0.0:
-        raise DomainError(f"no finite slope at ({q}, {p}): dF/dq = {dq:.3g}, dF/dp = 0")
+        raise DomainError(f"no finite slope at ({q}, {p}): dF/dq = {dq + 0.0:.3g}, dF/dp = 0")
     return -dq / dp + 0.0  # + 0.0 normalizes -0.0
 
 
@@ -273,9 +332,9 @@ def endpoint_q(cond):
     """Largest q reached by a ground-type curve: the root of q^m + q^(m-1) = 1.
 
     It is the q = 0 p-root of its pair, _root(cond, 0, 0, 1); the lower end
-    is returned, and F(0, x) = x^m + x^(m-1) - 1 is F(x, 0) bit for bit, so
-    F(q_m, 0) <= 0 in the sum solve_p_for_q sees.  F(0, x) is non-decreasing
-    (powers by repeated multiplication), so every sign-keeping bracket shrink
+    is returned, and F(0, x) = x^m + x^(m-1) - 1 is F(x, 0) exactly, so
+    F(q_m, 0) <= 0 where solve_p_for_q evaluates it.  F(0, x) is increasing
+    and its computed signs are exact, so every sign-keeping bracket shrink
     ends on the one pair of adjacent floats with F(0, lo) <= 0 < F(0, hi).
     """
     if cond.kind != GROUND:

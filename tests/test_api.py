@@ -110,6 +110,15 @@ def test_subcommand_loads_only_what_it_runs(name):
         == SUBCOMMAND_MODULES[name]
 
 
+@pytest.mark.parametrize("name", ["curve", "solve_power", "solve_log"])
+def test_residual_loads_neither_fractions_nor_decimal(name):
+    # F is exact in plain ints; fractions would import decimal, about 3.5 ms
+    argv = [*README_ARGV[name], "--out", os.devnull]
+    out = run_fresh("-c", f"import sys\nfrom qposc.cli import main\nmain({argv!r})\n"
+                    "print(*sorted(sys.modules))")
+    assert not {"fractions", "decimal", "_decimal"} & set(out.stdout.decode().split())
+
+
 def test_bare_import_loads_only_the_error_types():
     assert loaded_after("import qposc") == {"qposc", "qposc.errors"}
 

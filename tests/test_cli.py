@@ -195,6 +195,12 @@ class TestSpectrumCommand:
                                "--q", "0.1", "--n-max", "10")
         assert code == 2
 
+    def test_n_max_past_sys_maxsize_exits_two(self, capsys):
+        code, out, err = run_cli(capsys, "spectrum", "--family", "exp:0.5",
+                                 "--q", "0.5", "--n-max", "9223372036854775808")
+        assert (code, out) == (2, "")
+        assert "domain error" in err
+
 
 class TestInterceptCommand:
     def test_identity_curve(self, capsys):

@@ -1,6 +1,7 @@
 """Bracket, energy-level and Fock-representation checks."""
 
 import math
+import sys
 import tracemalloc
 from itertools import islice
 
@@ -225,6 +226,16 @@ class TestEnergies:
         for bad in (True, 2.0):
             with pytest.raises(DomainError):
                 energy_spectrum(bad, pt)
+
+    def test_indices_past_islice_range_are_domain_errors(self):
+        # islice takes indices up to sys.maxsize; past it each of these
+        # raised its ValueError, which the CLI reports as a usage error
+        pt = DeformationPoint(0.5, 0.25)
+        for call, n in ((energy_level, 2 ** 63), (qp_bracket_int, 2 ** 63),
+                        (energy_spectrum, 2 ** 63), (qp_bracket, 2.0 ** 63),
+                        (energy_spectrum, sys.maxsize)):  # islice(it, n + 1)
+            with pytest.raises(DomainError, match="below sys.maxsize"):
+                call(n, pt)
 
 
 def listed_brackets(n, q, p):

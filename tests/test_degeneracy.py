@@ -2,17 +2,21 @@
 
 import math
 import random
+import statistics
+from functools import partial
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qposc.degeneracy
 from qposc import (ConsistencyError, CurveTrace, DeformationPoint,
                    DegeneracyCondition, DomainError, PowerFamily, endpoint_q,
                    energy_level, implicit_derivative, residual,
                    solve_degeneracy_on_family, solve_p_for_q, trace_curve)
-from qposc.degeneracy import bisect_bracket
+from qposc.degeneracy import _residual_dq, _residual_raw, bisect_bracket
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -93,6 +97,74 @@ class TestResidual:
             for cond, m1, m2 in cases:
                 gap = 2.0 * (energy_level(m2, pt) - energy_level(m1, pt))
                 assert residual(cond, pt) == pytest.approx(gap, abs=1e-12)
+
+
+PROPERTY = settings(derandomize=True, max_examples=300, deadline=None)
+
+pairs = st.integers(0, 44).flatmap(
+    lambda m1: st.tuples(st.just(m1), st.integers(m1 + 1, 45)))
+# the whole unit interval (subnormals too), its ends, and doubles within
+# 1e-12 of 1, where the terms of F cancel to a few of their digits
+unit_values = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0]),
+                        st.floats(1.0 - 1e-12, 1.0))
+
+
+def mp_terms(cond, q, p, dq):
+    """The signed monomials of F = [[m2+1]] + [[m2]] - [[m1+1]] - [[m1]],
+    [[k]] = sum_{r<k} q^(k-1-r) p^r, or of dF/dq, in mpmath."""
+    q, p = mpmath.mpf(q), mpmath.mpf(p)
+    for k, sign in ((cond.m2 + 1, 1), (cond.m2, 1), (cond.m1 + 1, -1), (cond.m1, -1)):
+        for r in range(k):
+            if not dq:
+                yield sign * q ** (k - 1 - r) * p ** r
+            elif k - 1 - r:
+                yield sign * (k - 1 - r) * q ** (k - 2 - r) * p ** r
+
+
+def assert_correctly_rounded(got, cond, q, p, dq=False):
+    """got is the double nearest to F (dF/dq if dq): mpmath's sum of the
+    monomials at 60 digits, widened by a bound on its error, lies inside
+    got's rounding interval.  Where 60 digits cannot tell, the sum is redone
+    with enough bits to be exact (each term is a dyadic rational of at most
+    53 * 47 bits, scaled by no less than 2^(-1074 * 45)), and a tie must go
+    to the even significand."""
+    def rounding_interval():  # midpoints to got's neighbours, exact here
+        return [(got + mpmath.mpf(math.nextafter(got, to))) / 2 for to in (-math.inf, math.inf)]
+
+    with mpmath.workdps(60):
+        below, above = rounding_interval()
+        terms = list(mp_terms(cond, q, p, dq))
+        want = mpmath.fsum(terms)
+        # each term is rounded at most 4 times, and the sum once per term
+        err = (len(terms) + 4) * mpmath.eps * 16 * mpmath.fsum(map(abs, terms))
+        if below < want - err and want + err < above:
+            return
+    with mpmath.workprec(120_000):
+        below, above = rounding_interval()
+        want = mpmath.fsum(mp_terms(cond, q, p, dq))
+        even = got / math.ulp(got) % 2 == 0
+        assert below < want < above or (want in (below, above) and even), (
+            f"{got!r} is not {mpmath.nstr(want, 20)} correctly rounded "
+            f"({cond}, q={q!r}, p={p!r}, dq={dq})")
+
+
+class TestExactResidual:
+    @PROPERTY
+    @given(pair=pairs, q=unit_values, p=unit_values, diagonal=st.booleans())
+    def test_residual_and_partials_are_correctly_rounded(self, pair, q, p, diagonal):
+        cond = DegeneracyCondition(*pair)
+        p = q if diagonal else p
+        if q or p:  # DeformationPoint excludes the corner (0, 0)
+            assert_correctly_rounded(residual(cond, DeformationPoint(q, p)), cond, q, p)
+        assert_correctly_rounded(_residual_raw(cond, q, p), cond, q, p)
+        assert_correctly_rounded(_residual_dq(cond, q, p), cond, q, p, dq=True)
+        assert_correctly_rounded(_residual_dq(cond, p, q), cond, p, q, dq=True)
+
+    def test_the_oracle_rejects_a_neighbouring_double(self):
+        cond = DegeneracyCondition(3, 7)
+        got = _residual_raw(cond, 0.3, 0.7)
+        with pytest.raises(AssertionError, match="correctly rounded"):
+            assert_correctly_rounded(math.nextafter(got, 0.0), cond, 0.3, 0.7)
 
 
 def count_bisections(monkeypatch):
@@ -190,6 +262,53 @@ class TestSolveP:
             for q in qs:
                 assert solve_p_for_q(cond, q) is not None
             assert len(calls) / len(qs) <= 12, (cond, len(calls) / len(qs))
+
+    def test_median_of_three_residual_evaluations_per_root(self, monkeypatch):
+        # F(q, q), then F at Newton's estimate and at its neighbour towards
+        # the root: with exact signs two different ones end the search
+        grids = {}
+        for m1, m2 in ((0, 2), (1, 2), (7, 8), (12, 13), (39, 40), (2, 40), (0, 5), (3, 7),
+                       (0, 40)):
+            cond = DegeneracyCondition(m1, m2)
+            q_hi = endpoint_q(cond) if cond.kind == "ground" else 1.0
+            grids[cond] = [q_hi * i / 999 for i in range(1, 999)]
+        calls = count_residuals(monkeypatch)
+        counts = []
+        for cond, qs in grids.items():
+            for q in qs:
+                calls.clear()
+                assert solve_p_for_q(cond, q) is not None
+                counts.append(len(calls))
+        assert statistics.median(counts) <= 3, statistics.median(counts)
+
+    @PROPERTY
+    @given(pair=pairs.filter(lambda pair: pair != (0, 1)),
+           q=st.one_of(unit_values, st.floats(0.0, 1e-3)))
+    def test_roots_equal_a_whole_bracket_bisection(self, pair, q):
+        # exact signs leave one pair of adjacent floats where F(q, .) changes
+        # sign, so Newton's shortcut must end on the pair plain bisection finds
+        cond = DegeneracyCondition(*pair)
+        f = partial(_residual_raw, cond, q)
+        if f(q) <= 0.0:
+            lo, hi = q, 1.0
+        elif f(0.0) >= 0.0:
+            assert solve_p_for_q(cond, q) == (None if f(0.0) > 0.0 else 0.0)
+            return
+        else:
+            lo, hi = 0.0, q
+        lo, hi = bisect_bracket(f, lo, hi)
+        assert solve_p_for_q(cond, q) == 0.5 * (lo + hi), (lo, hi)
+
+    @pytest.mark.parametrize("m", [7, 12, 39])
+    @pytest.mark.parametrize("gap", [1e-9, 1e-12, 1e-15])
+    def test_p_within_two_ulps_of_mpmath_near_q_one(self, m, gap):
+        # near (1, 0) the terms of F cancel to the digits of 1 - q, so only
+        # an exact sign of F keeps p to its last digits
+        q = 1.0 - gap
+        got = solve_p_for_q(DegeneracyCondition(m, m + 1), q)
+        with mpmath.workdps(60):
+            want = mpmath.findroot(lambda p: mp_gap(m, m + 1, mpmath.mpf(q), p), got)
+            assert abs(got - want) <= 2 * math.ulp(float(want)), float(got - want)
 
     def test_rejects_bad_q(self):
         cond = DegeneracyCondition(0, 2)
