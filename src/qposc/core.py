@@ -141,8 +141,9 @@ class FockRep:
 def _superdiagonal(dim, point):
     """[sqrt([[1]]), ..., sqrt([[dim-1]])]: the superdiagonal of A in the
     dim-dimensional truncation, the only non-zero entries of A and A+."""
-    if not isinstance(dim, Integral) or dim < 2:
-        raise DomainError(f"representation dimension must be an integer >= 2, got {dim!r}")
+    if not isinstance(dim, Integral) or not 2 <= dim < sys.maxsize:  # islice's bound
+        raise DomainError(f"representation dimension must be an integer in "
+                          f"[2, sys.maxsize = {sys.maxsize}), got {dim!r}")
     return [math.sqrt(bracket) for bracket in islice(_bracket_iter(point.q, point.p), 1, dim)]
 
 

@@ -32,10 +32,13 @@ ints, rounded once (_residual_raw): every computed sign of F is its true
 sign, and the root is the one pair of adjacent floats at which that sign
 changes.  Newton's estimate and its neighbour are usually that pair
 (_certified_bracket); bisect_bracket, which the in-family solver of
-qposc.families uses too, finishes the rest.
+qposc.families uses too, finishes the rest.  At a curve point the on-curve
+check and the slope read F, dF/dq and dF/dp from one set of those integers
+(_residual_partials).
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import partial
 from numbers import Integral
@@ -48,6 +51,9 @@ NEIGHBOR = "neighbor"
 GENERAL = "general"
 
 _ON_CURVE_TOL = 1e-8
+# F's exact integers take up to e (m2 + 1) bits, e <= 1074 for subnormal q or
+# p; past this m2 that bit count, a shift's operand, exceeds sys.maxsize
+_MAX_M2 = sys.maxsize // 1074 - 1
 
 
 @dataclass(frozen=True)
@@ -64,6 +70,9 @@ class DegeneracyCondition:
             object.__setattr__(self, name, int(m))
         if self.m1 >= self.m2:
             raise DomainError(f"need m1 < m2, got ({self.m1}, {self.m2})")
+        if self.m2 > _MAX_M2:
+            raise DomainError(f"need m2 <= {_MAX_M2}, got {self.m2}: F's exact "
+                              f"integers would take over sys.maxsize bits")
 
     @property
     def kind(self):
@@ -123,15 +132,18 @@ def _residual_raw(cond, q, p):
     return _residual_int(cond, nq, np_, e) / (1 << e * cond.m2)
 
 
-def _residual_dq(cond, q, p):
-    """dF/dq correctly rounded, from the same integers: (phi'(q) - F) / (q - p)
-    off the diagonal, phi''(x) / 2 on it.  F is symmetric in (q, p), so
-    dF/dp is this with the arguments swapped."""
+def _residual_partials(cond, q, p):
+    """(F, dF/dq, dF/dp) correctly rounded, from one _dyadic and four Phi
+    values: off the diagonal dF/dq = (phi'(q) - F) / (q - p) and dF/dp is its
+    mirror (F is symmetric), on it F = phi'(x) and both are phi''(x) / 2."""
     nq, np_, e = _dyadic(q, p)
+    n = _residual_int(cond, nq, np_, e)
+    f = n / (1 << e * cond.m2)
     if nq == np_:
-        return _phi_int(cond, nq, e, 2) / (2 << e * (cond.m2 - 1))
-    num = _phi_int(cond, nq, e, 1) - _residual_int(cond, nq, np_, e)
-    return num / ((nq - np_) << e * (cond.m2 - 1))
+        d = _phi_int(cond, nq, e, 2) / (2 << e * (cond.m2 - 1))
+        return f, d, d
+    den = (nq - np_) << e * (cond.m2 - 1)
+    return f, (_phi_int(cond, nq, e, 1) - n) / den, (_phi_int(cond, np_, e, 1) - n) / -den
 
 
 def residual(cond, point):
@@ -282,9 +294,8 @@ def solve_p_for_q(cond, q) -> Optional[float]:
     return 0.5 * (lo + hi)
 
 
-def _slope(cond, q, p):
-    """dp/dq = -(dF/dq)/(dF/dp); a vertical tangent gives -inf (or +inf)."""
-    dq, dp = _residual_dq(cond, q, p), _residual_dq(cond, p, q)
+def _slope(cond, q, p, dq, dp):
+    """dp/dq = -dq/dp from the partials; a vertical tangent gives -inf (or +inf)."""
     if dp == 0.0:
         if dq == 0.0:
             raise ConsistencyError(f"degenerate tangent for {cond} at ({q}, {p}): "
@@ -318,11 +329,10 @@ def implicit_derivative(cond, point):
     underflow to 0 together with F, as at q = 0 with p tiny.
     """
     q, p = point.q, point.p
-    r = _residual_raw(cond, q, p)
+    r, dq, dp = _residual_partials(cond, q, p)
     if not (abs(r) < _ON_CURVE_TOL and abs(r) <= _ON_CURVE_TOL * _monomial_scale(cond, q, p)):
         raise DomainError(f"point ({q}, {p}) is not on the {cond} curve "
                           f"(|residual| = {abs(r):.3g})")
-    dq, dp = _residual_dq(cond, q, p), _residual_dq(cond, p, q)
     if dp == 0.0:
         raise DomainError(f"no finite slope at ({q}, {p}): dF/dq = {dq + 0.0:.3g}, dF/dp = 0")
     return -dq / dp + 0.0  # + 0.0 normalizes -0.0
@@ -386,9 +396,9 @@ def trace_curve(cond, n_samples):
                 raise ConsistencyError(
                     f"curve for {cond} lost at q={qv}: F(q, p) > 0 at both ends of "
                     f"[0, q], F(q, 0) = {_residual_raw(cond, qv, 0.0):.3g}")
-        r = _residual_raw(cond, qv, pv)
+        r, dq, dp = _residual_partials(cond, qv, pv)
         if abs(r) >= _ON_CURVE_TOL:
             raise ConsistencyError(f"sample ({qv}, {pv}) off the {cond} curve: "
                                    f"|F| = {abs(r):.3g} >= {_ON_CURVE_TOL:.0e}")
-        samples.append(CurvePoint(qv, pv, _slope(cond, qv, pv)))
+        samples.append(CurvePoint(qv, pv, _slope(cond, qv, pv, dq, dp)))
     return CurveTrace(condition=cond, samples=tuple(samples))

@@ -153,6 +153,26 @@ class TestReadmeExamples:
         assert out.encode() == (README_CLI / f"{name}.csv").read_bytes()
 
 
+REFERENCE_CURVES = Path(__file__).parent / "reference_curves"
+
+# the seven reference curves at 100 samples, listed like README_ARGV; the CI
+# workflow runs this list through the installed qposc script too
+REFERENCE_ARGV = [(name, argv) for name, *argv in
+                  map(str.split, (REFERENCE_CURVES / "examples.txt").read_text().splitlines())]
+
+
+class TestReferenceCurves:
+    @pytest.mark.parametrize("name, argv", REFERENCE_ARGV)
+    def test_output_is_pinned(self, capsys, name, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.encode() == (REFERENCE_CURVES / f"{name}.csv").read_bytes()
+
+    def test_the_seven_pairs_are_listed(self):
+        assert [argv[2] for _, argv in REFERENCE_ARGV] == [
+            "0,2", "0,3", "0,4", "0,6", "1,2", "2,3", "4,5"]
+
+
 class TestSpectrumCommand:
     def test_row_zero_and_count(self, capsys):
         code, out, _ = run_cli(capsys, "spectrum", "--family", "exp:0.5",
@@ -246,6 +266,23 @@ class TestFockCommand:
     def test_dimension_below_minimum(self, capsys):
         code, _, err = run_cli(capsys, "fock", "--dim", "1", "--q", "0.5", "--p", "0.5")
         assert code == 2
+
+
+class TestHugeIndices:
+    # Only sizes that the bounds reject are run: one they admit, such as
+    # --dim 2^62 (below sys.maxsize) or m2 = 10^7, can take gigabytes.
+    @pytest.mark.parametrize("argv", [
+        ("curve", "--levels", f"0,{2 ** 62}", "--samples", "3"),
+        ("curve", "--levels", f"0,{2 ** 63}", "--samples", "3"),
+        ("fock", "--dim", f"{2 ** 63}", "--q", "0.5", "--p", "0.25")])
+    def test_is_a_domain_error_with_no_output(self, capsys, tmp_path, argv):
+        target = tmp_path / "table.csv"
+        for out in ([], ["--out", str(target)]):
+            code, stdout, err = run_cli(capsys, *argv, *out)
+            assert (code, stdout) == (2, "")
+            assert err.startswith("qposc: domain error: ")
+            assert "sys.maxsize" in err
+            assert not target.exists()
 
 
 class TestOutputContract:

@@ -1,8 +1,10 @@
 """Degeneracy residuals, curve inversion, slopes, endpoints and traces."""
 
+import hashlib
 import math
 import random
 import statistics
+from collections import Counter
 from functools import partial
 
 import mpmath
@@ -16,7 +18,7 @@ from qposc import (ConsistencyError, CurveTrace, DeformationPoint,
                    DegeneracyCondition, DomainError, PowerFamily, endpoint_q,
                    energy_level, implicit_derivative, residual,
                    solve_degeneracy_on_family, solve_p_for_q, trace_curve)
-from qposc.degeneracy import _residual_dq, _residual_raw, bisect_bracket
+from qposc.degeneracy import _residual_partials, _residual_raw, bisect_bracket
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -157,8 +159,10 @@ class TestExactResidual:
         if q or p:  # DeformationPoint excludes the corner (0, 0)
             assert_correctly_rounded(residual(cond, DeformationPoint(q, p)), cond, q, p)
         assert_correctly_rounded(_residual_raw(cond, q, p), cond, q, p)
-        assert_correctly_rounded(_residual_dq(cond, q, p), cond, q, p, dq=True)
-        assert_correctly_rounded(_residual_dq(cond, p, q), cond, p, q, dq=True)
+        f, dq, dp = _residual_partials(cond, q, p)
+        assert_correctly_rounded(f, cond, q, p)
+        assert_correctly_rounded(dq, cond, q, p, dq=True)
+        assert_correctly_rounded(dp, cond, p, q, dq=True)
 
     def test_the_oracle_rejects_a_neighbouring_double(self):
         cond = DegeneracyCondition(3, 7)
@@ -407,7 +411,8 @@ class TestEndpoint:
 class TestTrace:
     def test_degenerate_tangent_raises(self, monkeypatch):
         # both partials vanishing is a ConsistencyError, never a silent slope
-        monkeypatch.setattr("qposc.degeneracy._residual_dq", lambda cond, q, p: 0.0)
+        monkeypatch.setattr("qposc.degeneracy._residual_partials",
+                            lambda cond, q, p: (0.0, 0.0, 0.0))
         with pytest.raises(ConsistencyError, match="degenerate tangent"):
             trace_curve(DegeneracyCondition(1, 2), 3)
 
@@ -500,6 +505,106 @@ class TestTrace:
         assert isinstance(trace, CurveTrace)
         assert trace.condition == DegeneracyCondition(0, 2)
         assert len(trace.samples) == 4
+
+
+PIN_PAIRS = [(0, 2), (0, 3), (0, 4), (0, 6), (1, 2), (2, 3), (4, 5),
+             (7, 8), (2, 15), (10, 37), (39, 40)]
+
+# sha256 of the float.hex of every (q, p, dp/dq) of trace_curve(pair, 200):
+# a change to how F and its partials are evaluated may change how often each
+# value is computed, never a bit of it
+TRACE_DIGESTS = {
+    (0, 2): "fc4ada7e839bb94cb730f800d24e0d7129125179f67cf57b54061266bc6a52ac",
+    (0, 3): "b37b64775fbf62c51c17905f53804c9b9bd60abe2f0d4b53c5388fae1fb23b95",
+    (0, 4): "adc9195f11ed22509035966248f5c412d33c90948b19a7235e99d3db56699b1f",
+    (0, 6): "e1ac7723b6fc55dafc04e9792cf95262306d1ea23e1a4a8c0f01de8b65e7891d",
+    (1, 2): "915d8bc5f2c4de32b4dffb8c2a105289bc8b7f1edd96e29c43011b121251322e",
+    (2, 3): "d2db99abff23e6ff0acfdefc4746b87002d72189d92f0cfd97154483eca20e3c",
+    (4, 5): "99706d7e83de48a839162e010e11b2117777938fbabc7c861114e64f394da054",
+    (7, 8): "7501a64d60831fa0ff94df4bd137d4d2d790ee976ff019ec98ec604b8f03bd2d",
+    (2, 15): "b307613b661c32a59e122d0fbb92d3301cb53e4b4f92de60842db982fde6c57e",
+    (10, 37): "55effed9d4dd7f20e98bea9285a3e11dd789fb0ec510a0466dbae7913cda8e6f",
+    (39, 40): "15b43a10f865d50820f8665aaface225b7a30f595b410a37f41d8127821bdea2",
+}
+# the same digest of implicit_derivative at 401 on-curve points, 40 seeded
+# draws of q per pair in PIN_PAIRS (39 of the 440 lie past a ground curve's q_m)
+SLOPE_DIGEST = "c08fd937072a8795d4b050ee53b6880df3781c771216a7e45bb3f9acc0555820"
+
+
+def record_evaluations(monkeypatch):
+    """Record every _dyadic and _phi_int call that degeneracy makes, with
+    'solve' and 'solved' around each solve_p_for_q that trace_curve makes."""
+    events = []
+    deg = qposc.degeneracy
+    for name in ("_dyadic", "_phi_int"):
+        def counting(*args, _real=getattr(deg, name), _name=name):
+            events.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(deg, name, counting)
+
+    def marking(cond, q, _solve=deg.solve_p_for_q):
+        events.append("solve")
+        p = _solve(cond, q)
+        events.append("solved")
+        return p
+    monkeypatch.setattr(deg, "solve_p_for_q", marking)
+    return events
+
+
+class TestOneEvaluationPerPoint:
+    @pytest.mark.parametrize("pair", PIN_PAIRS)
+    def test_trace_bits_are_pinned(self, pair):
+        digest = hashlib.sha256()
+        for sample in trace_curve(DegeneracyCondition(*pair), 200).samples:
+            digest.update(" ".join(map(float.hex, sample)).encode() + b"\n")
+        assert digest.hexdigest() == TRACE_DIGESTS[pair]
+
+    def test_implicit_derivative_bits_are_pinned(self):
+        rng, digest, points = random.Random(17), hashlib.sha256(), 0
+        for pair in PIN_PAIRS:
+            cond = DegeneracyCondition(*pair)
+            for _ in range(40):
+                q = rng.random()
+                p = solve_p_for_q(cond, q)
+                if p is None:
+                    continue
+                try:
+                    out = float.hex(implicit_derivative(cond, DeformationPoint(q, p)))
+                except DomainError:
+                    out = "DomainError"
+                digest.update(f"{pair} {q.hex()} {p.hex()} {out}\n".encode())
+                points += 1
+        assert (points, digest.hexdigest()) == (401, SLOPE_DIGEST)
+
+    @pytest.mark.parametrize("pair", [(0, 2), (1, 2), (10, 37), (39, 40)])
+    def test_one_evaluation_after_each_solve(self, monkeypatch, pair):
+        # between a solve's return and the next solve, a sample's on-curve
+        # check and slope read one _dyadic and Phi, Phi' at n_q and n_p
+        events = record_evaluations(monkeypatch)
+        trace = trace_curve(DegeneracyCondition(*pair), 12)
+        assert all(s.q != s.p for s in trace.samples)
+        after, current = [], None
+        for event in events:
+            if event == "solved":
+                current = Counter()
+                after.append(current)
+            elif event == "solve":
+                current = None
+            elif current is not None:
+                current[event] += 1
+        assert len(after) == 10
+        # the last one runs on into the end sample's own evaluation
+        assert after[:-1] == [Counter(_dyadic=1, _phi_int=4)] * 9
+
+    @pytest.mark.parametrize("pair, q, p, phi_calls", [
+        ((0, 2), 1.0 / 3.0, 1.0 / 3.0, 2),  # on the diagonal: Phi' and Phi''
+        ((0, 2), 0.3, None, 4), ((10, 37), 0.8, None, 4)])
+    def test_one_evaluation_per_implicit_derivative(self, monkeypatch, pair, q, p, phi_calls):
+        cond = DegeneracyCondition(*pair)
+        point = DeformationPoint(q, solve_p_for_q(cond, q) if p is None else p)
+        events = record_evaluations(monkeypatch)
+        implicit_derivative(cond, point)
+        assert Counter(events) == Counter(_dyadic=1, _phi_int=phi_calls)
 
 
 def mp_gap(m1, m2, q, p):
