@@ -88,8 +88,9 @@ def qp_bracket(x, point):
     Non-negative integer x always goes through the recurrence of
     qp_bracket_int.  Otherwise, with q >= p > 0 (the bracket is symmetric),
     the defining ratio is q^(x-1) (1 - (p/q)^x) / ((q - p)/q), with
-    1 - (p/q)^x = -expm1(-x log1p((q - p)/p)): it neither overflows nor
-    cancels as q - p -> 0, and q == p gives the limit x q^(x-1).
+    1 - (p/q)^x = -expm1(-x log1p((q - p)/p)): it does not cancel as
+    q - p -> 0, and q == p gives the limit x q^(x-1).  A value too large
+    for a float is a DomainError.
     """
     x = float(x)
     if not math.isfinite(x):
@@ -99,10 +100,15 @@ def qp_bracket(x, point):
     q, p = max(point.q, point.p), min(point.q, point.p)
     if p == 0.0:
         raise DomainError(f"[[{x}]] is undefined on the axes (power of zero)")
-    if q == p:
-        return x * q ** (x - 1.0)
     d = q - p
-    return q ** (x - 1.0) * -math.expm1(-x * math.log1p(d / p)) / (d / q)
+    try:  # log1p(d / p) = ln(q / p), which is ln q - ln p where d / p overflows
+        a = math.log1p(d / p) if d / p < math.inf else math.log(q) - math.log(p)
+        value = x * q ** (x - 1.0) if q == p else q ** (x - 1.0) * -math.expm1(-x * a) / (d / q)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"[[{x}]] at ({point.q}, {point.p}) overflows a float")
+    return value
 
 
 def energy_level(n, point):

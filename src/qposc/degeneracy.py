@@ -30,11 +30,11 @@ too, is estimated by Newton on L, and F has the last word.  Floats are
 dyadic rationals, so the identity gives F exactly as a quotient of Python
 ints, rounded once (_residual_raw): every computed sign of F is its true
 sign, and the root is the one pair of adjacent floats at which that sign
-changes.  Newton's estimate and its neighbour are usually that pair
-(_certified_bracket); bisect_bracket, which the in-family solver of
-qposc.families uses too, finishes the rest.  At a curve point the on-curve
-check and the slope read F, dF/dq and dF/dp from one set of those integers
-(_residual_partials).
+changes.  A walk from Newton's estimate towards the root, in steps that
+double from one ulp, brackets it (_root); bisect_bracket, which the
+in-family solver of qposc.families uses too, finishes it.  At a curve
+point the on-curve check and the slope read F, dF/dq and dF/dp from one
+set of those integers (_residual_partials).
 """
 
 import math
@@ -195,44 +195,6 @@ def _estimate_p(cond, q, lo, hi):
     return x
 
 
-def _certified_bracket(f, p, lo, hi):
-    """Shrink the bracket f(lo) <= 0 < f(hi) to one around the estimate p.
-
-    f's signs are exact, so the root is the one pair of adjacent floats
-    where f's sign changes.  p, if inside (lo, hi), is evaluated first and
-    becomes the end whose sign it has; then its neighbour towards the root:
-    if the two signs differ they are that pair, and the trials below lie
-    outside it.  Trial ends p -+ k ulps, k = 4, 256, ... (x64), are
-    evaluated while they lie inside [lo, hi]; each one becomes the end
-    whose sign it has.  The given ends are never evaluated.
-    """
-    if lo < p < hi:  # p, then its neighbour towards the root
-        if f(p) > 0.0:
-            hi, x = p, math.nextafter(p, -math.inf)
-        else:
-            lo, x = p, math.nextafter(p, math.inf)
-        if lo < x < hi:
-            if f(x) > 0.0:
-                hi = x
-            else:
-                lo = x
-    w = 4.0 * math.ulp(p)
-    while True:
-        a, b = p - w, p + w
-        w *= 64.0
-        if lo < a:
-            if f(a) > 0.0:
-                hi = a  # the root lies below p - w
-                continue
-            lo = a
-        if b < hi:
-            if f(b) <= 0.0:
-                lo = b  # the root lies above p + w
-                continue
-            hi = b
-        return lo, hi
-
-
 def bisect_bracket(f, lo, hi):
     """Shrink [lo, hi], where f(lo) <= 0 < f(hi), to two adjacent floats and
     return them as (lo, hi).  The ends' signs are the caller's, from the
@@ -252,12 +214,21 @@ def bisect_bracket(f, lo, hi):
 
 
 def _root(cond, q, lo, hi):
-    """The p-root of F(q, .) on [lo, hi] as two adjacent floats, bisected from
-    Newton's certified estimate if there is one."""
+    """The p-root of F(q, .) on [lo, hi] as two adjacent floats.  F's exact
+    sign at Newton's estimate x says which way the root lies; the walk goes
+    that way in steps doubling from ulp(x) (Bentley and Yao's unbounded
+    search) and never evaluates an end.  bisect_bracket finishes it, or
+    bisects the whole bracket if there is no estimate."""
     f = partial(_residual_raw, cond, q)
-    p = _estimate_p(cond, q, lo, hi)
-    if p is not None:
-        lo, hi = _certified_bracket(f, p, lo, hi)
+    x = _estimate_p(cond, q, lo, hi)
+    if x is not None:
+        w = math.ulp(x)
+        while lo <= x <= hi:
+            if x == hi or x != lo and f(x) > 0.0:
+                hi, x = x, x - w
+            else:
+                lo, x = x, x + w
+            w *= 2.0
     return bisect_bracket(f, lo, hi)
 
 
@@ -272,10 +243,9 @@ def solve_p_for_q(cond, q) -> Optional[float]:
     F(q, 0) >= 0 leaves no interior root: a ground curve past its endpoint
     q_m.  F's signs are exact, so the branch is never the wrong one.
 
-    Newton on L(p) = L(q) estimates the root, and F at the estimate and
-    at its neighbour usually certifies it (_root): 3 evaluations of F per
-    root in the median, with F(q, q).  Only where Newton has no start is
-    the whole bracket bisected.
+    Newton on L(p) = L(q) estimates the root, and a walk from the estimate
+    brackets it (_root): 3 evaluations of F per root in the median, with
+    F(q, q).  Only where Newton has no start is the whole bracket bisected.
     """
     q = float(q)
     if not (math.isfinite(q) and 0.0 <= q <= 1.0):

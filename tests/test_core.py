@@ -1,8 +1,10 @@
 """Bracket, energy-level and Fock-representation checks."""
 
 import math
+import random
 import sys
 import tracemalloc
+from collections import Counter
 from itertools import islice
 
 import mpmath
@@ -122,6 +124,43 @@ class TestBracket:
                 got = qp_bracket(x, DeformationPoint(q, p))
                 worst = max(worst, float(abs(got - want) / want))
         assert worst <= 1e-14, worst
+
+    def test_tiny_parameters_against_mpmath(self):
+        # (q^x - p^x)/(q - p) in 60-digit mpmath at seeded draws with q or p
+        # tiny or subnormal: a value that fits a float comes back to 1e-12,
+        # any other is a DomainError, never an OverflowError or an infinity
+        assert qp_bracket(-0.5, DeformationPoint(1.0, 5e-324)) == pytest.approx(
+            float(1.0 - mpmath.mpf(5e-324) ** -0.5), rel=1e-12)  # (q - p)/p overflows
+        for pt in (DeformationPoint(0.5, 1e-200), DeformationPoint(1e-200, 1e-200)):
+            with pytest.raises(DomainError, match="overflows"):
+                qp_bracket(-3.5, pt)
+        rng = random.Random(5)
+
+        def draw():
+            kind = rng.randrange(3)
+            if kind == 0:
+                return rng.uniform(0.0, 1.0)
+            if kind == 1:
+                return 10.0 ** rng.uniform(-307.0, -1.0)
+            return rng.uniform(0.0, 1.0) * sys.float_info.min  # subnormal
+
+        seen = Counter()
+        for _ in range(4000):
+            x, q, p = rng.uniform(-400.0, 400.0), draw(), draw()
+            if x.is_integer() or 0.0 in (q, p):
+                continue
+            with mpmath.workdps(60):
+                xm, qm, pm = mpmath.mpf(x), mpmath.mpf(q), mpmath.mpf(p)
+                want = xm * qm ** (xm - 1) if q == p else (qm ** xm - pm ** xm) / (qm - pm)
+            if abs(want) > sys.float_info.max:
+                with pytest.raises(DomainError):
+                    qp_bracket(x, DeformationPoint(q, p))
+                seen["refused"] += 1
+                continue
+            got = qp_bracket(x, DeformationPoint(q, p))
+            assert abs(got - want) <= 1e-12 * abs(want) + 1e-300, (x, q, p)
+            seen["finite"] += 1
+        assert seen["refused"] > 1000 and seen["finite"] > 1000, seen
 
     def test_rejections(self):
         pt = DeformationPoint(0.5, 0.5)

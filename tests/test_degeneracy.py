@@ -267,9 +267,9 @@ class TestSolveP:
                 assert solve_p_for_q(cond, q) is not None
             assert len(calls) / len(qs) <= 12, (cond, len(calls) / len(qs))
 
-    def test_median_of_three_residual_evaluations_per_root(self, monkeypatch):
-        # F(q, q), then F at Newton's estimate and at its neighbour towards
-        # the root: with exact signs two different ones end the search
+    @staticmethod
+    def evaluations_per_root(monkeypatch):
+        # F evaluations of each solve on trace_curve's grid of 1000 samples
         grids = {}
         for m1, m2 in ((0, 2), (1, 2), (7, 8), (12, 13), (39, 40), (2, 40), (0, 5), (3, 7),
                        (0, 40)):
@@ -283,7 +283,33 @@ class TestSolveP:
                 calls.clear()
                 assert solve_p_for_q(cond, q) is not None
                 counts.append(len(calls))
+        return counts
+
+    def test_median_of_three_residual_evaluations_per_root(self, monkeypatch):
+        # F(q, q), then F at Newton's estimate and at its neighbour towards
+        # the root: with exact signs two different ones end the search
+        counts = self.evaluations_per_root(monkeypatch)
         assert statistics.median(counts) <= 3, statistics.median(counts)
+
+    def test_mean_of_at_most_four_residual_evaluations_per_root(self, monkeypatch):
+        # the walk from Newton's estimate takes one step more per doubling
+        # of the estimate's error in ulps, so a root rarely costs more than 3
+        counts = self.evaluations_per_root(monkeypatch)
+        assert statistics.mean(counts) <= 4.0, statistics.mean(counts)
+
+    @pytest.mark.parametrize("m1, m2, q_max", [(12, 13, 0.045), (39, 40, 0.3)])
+    def test_estimate_at_a_bracket_end_is_not_evaluated(self, monkeypatch, m1, m2, q_max):
+        # up to q_max Newton's estimate rounds to p = 1.0, the end of [q, 1],
+        # which takes the end's stated sign: F(q, 1) is never computed
+        cond = DegeneracyCondition(m1, m2)
+        qs = [q_max * i / 100 for i in range(101)]
+        assert all(qposc.degeneracy._estimate_p(cond, q, q, 1.0) == 1.0 for q in qs)
+        calls = count_residuals(monkeypatch)
+        for q in qs:
+            calls.clear()
+            assert solve_p_for_q(cond, q) is not None
+            assert 1.0 not in calls, (q, calls)
+            assert len(calls) <= 3, (q, calls)
 
     @PROPERTY
     @given(pair=pairs.filter(lambda pair: pair != (0, 1)),
@@ -681,11 +707,12 @@ class TestRootHelpers:
         assert len(calls) <= 70, len(calls)
 
     def test_curve_ends_match_a_whole_bracket_bisection(self):
-        # The computed F(x, 0) = fsum(x^m, x^(m-1), -1) is non-decreasing in x,
-        # its powers coming from repeated multiplication, so exactly one pair
-        # of adjacent floats has F(lo, 0) <= 0 < F(hi, 0) and every bracket
-        # shrink that keeps those signs ends on it.  For m1 >= 1 the computed
-        # F(0, p) is <= 0 on [0, 1), so the q = 0 p-root is 1.0 on any path.
+        # F(x, 0) = x^m + x^(m-1) - 1 is increasing and computed exactly,
+        # rounded once, so its computed value is non-decreasing in x: exactly
+        # one pair of adjacent floats has F(lo, 0) <= 0 < F(hi, 0) and every
+        # bracket shrink that keeps those signs ends on it.  For m1 >= 1 the
+        # computed F(0, p) is <= 0 on [0, 1), so the q = 0 p-root is 1.0 on
+        # any path.
         for m in range(2, 121):
             cond = DegeneracyCondition(0, m)
             lo, _ = bisect_bracket(lambda x: qposc.degeneracy._residual_raw(cond, x, 0.0),
