@@ -16,41 +16,39 @@ H = (A A+ + A+ A) / 2 then has the spectrum E_n = ([[n+1]] + [[n]]) / 2,
 with E_0 = 1/2 for every admissible (q, p) and E_n = n + 1/2 at q = p = 1.
 
 All functions here are pure and their values can be shared between threads.
-numpy is imported only by fock_rep and fock_residuals, on their first call,
-for FockRep's dim x dim arrays; both read the superdiagonal and the residual
-formula from _superdiagonal and _ladder_residuals, which the CLI's fock
-calls directly, in O(dim) time and memory and without numpy.
+numpy, an optional dependency (the fock extra), is imported only by fock_rep
+and fock_residuals, on their first call, for FockRep's dim x dim arrays;
+both read the superdiagonal and the residual formula from _superdiagonal
+and _ladder_residuals, which the CLI's fock calls directly, in O(dim) time
+and memory and without numpy.
 """
 
 import math
 import sys
-from dataclasses import dataclass
 from itertools import islice, pairwise
 from numbers import Integral
 
-from .errors import DomainError
+from .errors import DomainError, Record
 
 # Exported for compatibility (qposc.__all__); no code path reads it.
 EPS_EQUAL = 1e-9
 
 
-@dataclass(frozen=True)
-class DeformationPoint:
+class DeformationPoint(Record):
     """A point (q, p) of the closed unit square, excluding the corner (0, 0)."""
 
-    q: float
-    p: float
+    __slots__ = ("q", "p")
 
-    def __post_init__(self):
-        q, p = float(self.q), float(self.p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "p", p)
+    def __init__(self, q, p):
+        q, p = float(q), float(p)
         if not (math.isfinite(q) and math.isfinite(p)):
             raise DomainError(f"deformation parameters must be finite, got ({q}, {p})")
         if not (0.0 <= q <= 1.0 and 0.0 <= p <= 1.0):
             raise DomainError(f"({q}, {p}) lies outside the unit square")
         if q == 0.0 and p == 0.0:
             raise DomainError("the corner (0, 0) is excluded from the parameter domain")
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "p", p)
 
 
 def _bracket_iter(q, p):
@@ -89,8 +87,9 @@ def qp_bracket(x, point):
     qp_bracket_int.  Otherwise, with q >= p > 0 (the bracket is symmetric),
     the defining ratio is q^(x-1) (1 - (p/q)^x) / ((q - p)/q), with
     1 - (p/q)^x = -expm1(-x log1p((q - p)/p)): it does not cancel as
-    q - p -> 0, and q == p gives the limit x q^(x-1).  A value too large
-    for a float is a DomainError.
+    q - p -> 0, and q == p gives the limit x q^(x-1).  Where q^(x-1) alone
+    overflows (x < 1, q subnormal), q^x takes its place and the product is
+    divided by q last.  A value too large for a float is a DomainError.
     """
     x = float(x)
     if not math.isfinite(x):
@@ -105,7 +104,10 @@ def qp_bracket(x, point):
         a = math.log1p(d / p) if d / p < math.inf else math.log(q) - math.log(p)
         value = x * q ** (x - 1.0) if q == p else q ** (x - 1.0) * -math.expm1(-x * a) / (d / q)
     except OverflowError:
-        value = math.inf
+        try:
+            value = (x * q ** x if q == p else q ** x * -math.expm1(-x * a) / (d / q)) / q
+        except OverflowError:
+            value = math.inf
     if not math.isfinite(value):
         raise DomainError(f"[[{x}]] at ({point.q}, {point.p}) overflows a float")
     return value
@@ -129,8 +131,7 @@ def energy_iter(point):
             for lower, upper in pairwise(_bracket_iter(point.q, point.p)))
 
 
-@dataclass(frozen=True, eq=False)
-class FockRep:
+class FockRep(Record):
     """Truncated number-basis matrices of the deformed ladder operators.
 
     a_matrix annihilates (zero but for its superdiagonal sqrt([[1]]), ...),
@@ -138,10 +139,14 @@ class FockRep:
     Records compare by identity, so they hash; arrays have no single truth value.
     """
 
-    dim: int
-    a_matrix: "np.ndarray"
-    a_dagger_matrix: "np.ndarray"
-    n_matrix: "np.ndarray"
+    __slots__ = ("dim", "a_matrix", "a_dagger_matrix", "n_matrix")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, dim, a_matrix, a_dagger_matrix, n_matrix):
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "a_matrix", a_matrix)
+        object.__setattr__(self, "a_dagger_matrix", a_dagger_matrix)
+        object.__setattr__(self, "n_matrix", n_matrix)
 
 
 def _superdiagonal(dim, point):
@@ -164,6 +169,16 @@ def _ladder_residuals(s, q, p):
     return r1, r2
 
 
+def _numpy():
+    """numpy, which only fock_rep and fock_residuals need: the fock extra."""
+    try:
+        import numpy
+    except ImportError as exc:
+        raise ImportError("fock_rep and fock_residuals need numpy: "
+                          "pip install 'qposc[fock]'", name="numpy") from exc
+    return numpy
+
+
 def fock_rep(dim, point):
     """Build the dim-dimensional truncated representation.
 
@@ -171,7 +186,7 @@ def fock_rep(dim, point):
     state is necessarily violated by the cutoff.
     """
     s = _superdiagonal(dim, point)
-    import numpy as np
+    np = _numpy()
     a = np.diag(s, 1)
     return FockRep(dim=dim, a_matrix=a, a_dagger_matrix=a.T.copy(),
                    n_matrix=np.diag(np.arange(dim, dtype=float)))
@@ -185,7 +200,7 @@ def fock_residuals(rep, point):
     then both relations are diagonal and take O(dim) from the superdiagonal
     of A, by _ladder_residuals.
     """
-    import numpy as np
+    np = _numpy()
     a = rep.a_matrix
     s = np.diag(a, 1)
     stray = (np.count_nonzero(a) - np.count_nonzero(s)

@@ -39,12 +39,11 @@ set of those integers (_residual_partials).
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import partial
 from numbers import Integral
 from typing import NamedTuple, Optional
 
-from .errors import ConsistencyError, DomainError
+from .errors import ConsistencyError, DomainError, Record
 
 GROUND = "ground"
 NEIGHBOR = "neighbor"
@@ -56,23 +55,23 @@ _ON_CURVE_TOL = 1e-8
 _MAX_M2 = sys.maxsize // 1074 - 1
 
 
-@dataclass(frozen=True)
-class DegeneracyCondition:
+class DegeneracyCondition(Record):
     """An ordered pair of level indices whose energies are required to meet."""
 
-    m1: int
-    m2: int
+    __slots__ = ("m1", "m2")
 
-    def __post_init__(self):
-        for name, m in (("m1", self.m1), ("m2", self.m2)):
-            if not isinstance(m, Integral) or isinstance(m, bool) or m < 0:
+    def __init__(self, m1, m2):
+        for m in (m1, m2):
+            if not isinstance(m, (int, Integral)) or isinstance(m, bool) or m < 0:
                 raise DomainError(f"level indices must be non-negative integers, got {m!r}")
-            object.__setattr__(self, name, int(m))
-        if self.m1 >= self.m2:
-            raise DomainError(f"need m1 < m2, got ({self.m1}, {self.m2})")
-        if self.m2 > _MAX_M2:
-            raise DomainError(f"need m2 <= {_MAX_M2}, got {self.m2}: F's exact "
+        m1, m2 = int(m1), int(m2)
+        if m1 >= m2:
+            raise DomainError(f"need m1 < m2, got ({m1}, {m2})")
+        if m2 > _MAX_M2:
+            raise DomainError(f"need m2 <= {_MAX_M2}, got {m2}: F's exact "
                               f"integers would take over sys.maxsize bits")
+        object.__setattr__(self, "m1", m1)
+        object.__setattr__(self, "m2", m2)
 
     @property
     def kind(self):
@@ -328,12 +327,14 @@ class CurvePoint(NamedTuple):
     dpdq: float
 
 
-@dataclass(frozen=True)
-class CurveTrace:
+class CurveTrace(Record):
     """Ordered samples (q, p, dp/dq) along one degeneracy curve."""
 
-    condition: DegeneracyCondition
-    samples: tuple
+    __slots__ = ("condition", "samples")
+
+    def __init__(self, condition, samples):
+        object.__setattr__(self, "condition", condition)
+        object.__setattr__(self, "samples", samples)
 
 
 def trace_curve(cond, n_samples):

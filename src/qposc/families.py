@@ -15,11 +15,10 @@ way: family_p is the one-point case of the validated grid map _family_ps.
 
 import math
 import operator
-from dataclasses import dataclass, field
 
 from .core import DeformationPoint, energy_level
 from .degeneracy import _residual_raw, bisect_bracket, solve_p_for_q
-from .errors import DomainError
+from .errors import DomainError, Record
 
 # grid size fixed by the admissibility contract
 _VALIDATE_GRID = 10_000
@@ -160,17 +159,23 @@ def family_p(fam, q):
     return _family_ps(fam, [float(q)])[0]
 
 
-@dataclass
-class FamilyReport:
-    """Admissibility check result; failures are content, not exceptions."""
+class FamilyReport(Record):
+    """Admissibility check result; failures are content, not exceptions.
 
-    passed: bool
-    endpoint_value: float            # f(1)
-    violations: list = field(default_factory=list)  # (q, reason), capped
-    n_violations: int = 0
-    notes: list = field(default_factory=list)
+    endpoint_value is f(1), and violations lists the first _CAP (q, reason)
+    pairs of n_violations.  Unlike the other records it is mutable, and so
+    unhashable; each report gets its own lists.
+    """
 
+    __slots__ = ("passed", "endpoint_value", "violations", "n_violations", "notes")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
     _CAP = 10
+
+    def __init__(self, passed, endpoint_value, violations=None, n_violations=0, notes=None):
+        self.passed, self.endpoint_value = passed, endpoint_value
+        self.violations = [] if violations is None else violations
+        self.n_violations = n_violations
+        self.notes = [] if notes is None else notes
 
 
 def validate_family(fam):

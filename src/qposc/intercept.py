@@ -8,10 +8,9 @@ For every other family the same expression is an extrapolation and is
 labeled as such in emitted tables.
 """
 
-from dataclasses import dataclass
 from numbers import Integral
 
-from .errors import DomainError
+from .errors import DomainError, Record
 from .families import ExpFamily, PowerFamily, _family_ps, family_p
 
 
@@ -21,11 +20,16 @@ def asymptotic_intercept(fam, q):
     return q + (family_p(fam, q) - 1.0)
 
 
-@dataclass(frozen=True)
-class InterceptCurve:
-    family: object
-    samples: tuple          # (q, lambda) pairs on a uniform q-grid
-    extrapolated: bool      # True unless the family has the form on record
+class InterceptCurve(Record):
+    """(q, lambda) samples on a uniform q-grid; extrapolated is True unless
+    the family has the form on record."""
+
+    __slots__ = ("family", "samples", "extrapolated")
+
+    def __init__(self, family, samples, extrapolated):
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "extrapolated", extrapolated)
 
 
 def _is_extrapolated(fam):

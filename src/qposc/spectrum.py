@@ -6,28 +6,29 @@ peak moves right as q grows toward the equally-spaced q = 1 limit.
 """
 
 import math
-from dataclasses import dataclass
 from numbers import Integral
 
 from .core import DeformationPoint, energy_spectrum
-from .errors import DomainError
+from .errors import DomainError, Record
 from .families import family_p
 
 
-@dataclass(frozen=True)
-class SpectrumProfile:
+class SpectrumProfile(Record):
     """E_0..E_n_max with the peak position and the tail value E_n_max.
 
     decay_violations lists any post-peak indices n where E_n fails to
     decrease strictly (empty for a well-formed profile).
     """
 
-    family: object
-    q: float
-    energies: tuple
-    peak_index: int
-    tail_bound: float
-    decay_violations: tuple
+    __slots__ = ("family", "q", "energies", "peak_index", "tail_bound", "decay_violations")
+
+    def __init__(self, family, q, energies, peak_index, tail_bound, decay_violations):
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "energies", energies)
+        object.__setattr__(self, "peak_index", peak_index)
+        object.__setattr__(self, "tail_bound", tail_bound)
+        object.__setattr__(self, "decay_violations", decay_violations)
 
 
 def profile(fam, q, n_max=200):

@@ -119,6 +119,17 @@ def test_residual_loads_neither_fractions_nor_decimal(name):
     assert not {"fractions", "decimal", "_decimal"} & set(out.stdout.decode().split())
 
 
+@pytest.mark.parametrize("name", sorted(README_ARGV))
+def test_subcommand_loads_neither_dataclasses_nor_inspect(name):
+    # records are plain classes: dataclasses would import inspect and
+    # generate code for each record at start-up
+    argv = [*README_ARGV[name], "--out", os.devnull]
+    out = run_fresh("-c", f"import sys\nbefore = set(sys.modules)\n"
+                    f"from qposc.cli import main\nmain({argv!r})\n"
+                    "print(*sorted(set(sys.modules) - before))")
+    assert not {"dataclasses", "inspect"} & set(out.stdout.decode().split())
+
+
 def test_bare_import_loads_only_the_error_types():
     assert loaded_after("import qposc") == {"qposc", "qposc.errors"}
 

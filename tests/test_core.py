@@ -162,6 +162,16 @@ class TestBracket:
             seen["finite"] += 1
         assert seen["refused"] > 1000 and seen["finite"] > 1000, seen
 
+    @pytest.mark.parametrize(("q", "p"), [(5e-324, 5e-324), (1e-323, 5e-324)])
+    def test_subnormal_parameters_where_only_q_to_the_x_minus_1_overflows(self, q, p):
+        # for 0 < x < 1, q^(x-1) overflows a float here although [[x]] fits
+        x = 0.045
+        with mpmath.workdps(40):
+            xm, qm, pm = mpmath.mpf(x), mpmath.mpf(q), mpmath.mpf(p)
+            want = xm * qm ** (xm - 1) if q == p else (qm ** xm - pm ** xm) / (qm - pm)
+        assert 1e307 < want < sys.float_info.max
+        assert qp_bracket(x, DeformationPoint(q, p)) == pytest.approx(float(want), rel=1e-12)
+
     def test_rejections(self):
         pt = DeformationPoint(0.5, 0.5)
         with pytest.raises(DomainError):
