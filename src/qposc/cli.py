@@ -12,8 +12,9 @@ submodules it runs, so a process loads only its subcommand's share of the
 package; none loads numpy (fock evaluates the ladder relations from the
 superdiagonal of A, in O(dim), without building the matrices).
 
-Exit codes: 0 success, 1 usage/parse error, 2 domain error, 3 solver
-consistency error.
+Exit codes: 0 success, 1 usage/parse error or an --out file that cannot be
+written (one 'qposc: cannot write ...' line on stderr, nothing on stdout),
+2 domain error, 3 solver consistency error.
 """
 
 import argparse
@@ -167,8 +168,12 @@ def main(argv=None):
     head = [f"# qposc {args.command}", f"# version: {__version__}"]
     text = "\n".join(head + [f"# {key}: {value}" for key, value in params] + body) + "\n"
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"qposc: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(text)
     return 0

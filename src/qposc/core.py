@@ -28,7 +28,7 @@ import sys
 from itertools import islice, pairwise
 from numbers import Integral
 
-from .errors import DomainError, Record
+from .errors import DomainError, Record, to_float
 
 # Exported for compatibility (qposc.__all__); no code path reads it.
 EPS_EQUAL = 1e-9
@@ -40,15 +40,14 @@ class DeformationPoint(Record):
     __slots__ = ("q", "p")
 
     def __init__(self, q, p):
-        q, p = float(q), float(p)
+        q, p = to_float(q, "q"), to_float(p, "p")
         if not (math.isfinite(q) and math.isfinite(p)):
             raise DomainError(f"deformation parameters must be finite, got ({q}, {p})")
         if not (0.0 <= q <= 1.0 and 0.0 <= p <= 1.0):
             raise DomainError(f"({q}, {p}) lies outside the unit square")
         if q == 0.0 and p == 0.0:
             raise DomainError("the corner (0, 0) is excluded from the parameter domain")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "p", p)
+        Record.__init__(self, q, p)
 
 
 def _bracket_iter(q, p):
@@ -91,7 +90,7 @@ def qp_bracket(x, point):
     overflows (x < 1, q subnormal), q^x takes its place and the product is
     divided by q last.  A value too large for a float is a DomainError.
     """
-    x = float(x)
+    x = to_float(x, "bracket argument")
     if not math.isfinite(x):
         raise DomainError(f"bracket argument must be finite, got {x}")
     if x.is_integer() and x >= 0:
@@ -142,12 +141,6 @@ class FockRep(Record):
     __slots__ = ("dim", "a_matrix", "a_dagger_matrix", "n_matrix")
     __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __init__(self, dim, a_matrix, a_dagger_matrix, n_matrix):
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "a_matrix", a_matrix)
-        object.__setattr__(self, "a_dagger_matrix", a_dagger_matrix)
-        object.__setattr__(self, "n_matrix", n_matrix)
-
 
 def _superdiagonal(dim, point):
     """[sqrt([[1]]), ..., sqrt([[dim-1]])]: the superdiagonal of A in the
@@ -188,8 +181,7 @@ def fock_rep(dim, point):
     s = _superdiagonal(dim, point)
     np = _numpy()
     a = np.diag(s, 1)
-    return FockRep(dim=dim, a_matrix=a, a_dagger_matrix=a.T.copy(),
-                   n_matrix=np.diag(np.arange(dim, dtype=float)))
+    return FockRep(dim, a, a.T.copy(), np.diag(np.arange(dim, dtype=float)))
 
 
 def fock_residuals(rep, point):

@@ -43,7 +43,7 @@ from functools import partial
 from numbers import Integral
 from typing import NamedTuple, Optional
 
-from .errors import ConsistencyError, DomainError, Record
+from .errors import ConsistencyError, DomainError, Record, to_float
 
 GROUND = "ground"
 NEIGHBOR = "neighbor"
@@ -70,8 +70,7 @@ class DegeneracyCondition(Record):
         if m2 > _MAX_M2:
             raise DomainError(f"need m2 <= {_MAX_M2}, got {m2}: F's exact "
                               f"integers would take over sys.maxsize bits")
-        object.__setattr__(self, "m1", m1)
-        object.__setattr__(self, "m2", m2)
+        Record.__init__(self, m1, m2)
 
     @property
     def kind(self):
@@ -246,7 +245,7 @@ def solve_p_for_q(cond, q) -> Optional[float]:
     brackets it (_root): 3 evaluations of F per root in the median, with
     F(q, q).  Only where Newton has no start is the whole bracket bisected.
     """
-    q = float(q)
+    q = to_float(q, "q")
     if not (math.isfinite(q) and 0.0 <= q <= 1.0):
         raise DomainError(f"q must lie in [0, 1], got {q}")
     if (cond.m1, cond.m2) == (0, 1):
@@ -332,10 +331,6 @@ class CurveTrace(Record):
 
     __slots__ = ("condition", "samples")
 
-    def __init__(self, condition, samples):
-        object.__setattr__(self, "condition", condition)
-        object.__setattr__(self, "samples", samples)
-
 
 def trace_curve(cond, n_samples):
     """Sample the curve at n_samples q-values uniform on its extent.
@@ -372,4 +367,4 @@ def trace_curve(cond, n_samples):
             raise ConsistencyError(f"sample ({qv}, {pv}) off the {cond} curve: "
                                    f"|F| = {abs(r):.3g} >= {_ON_CURVE_TOL:.0e}")
         samples.append(CurvePoint(qv, pv, _slope(cond, qv, pv, dq, dp)))
-    return CurveTrace(condition=cond, samples=tuple(samples))
+    return CurveTrace(cond, tuple(samples))

@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the base of its records."""
+"""Exception types shared across the package, the one conversion of its real
+arguments, and the base of its records."""
 
 
 class DomainError(ValueError):
@@ -11,16 +12,41 @@ class ConsistencyError(RuntimeError):
     zero); the message names the measured quantity and its limit."""
 
 
+def to_float(value, name):
+    """float(value), where a value beyond the float range (a huge int, say)
+    is a DomainError rather than an OverflowError."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise DomainError(f"{name} lies outside the float range") from None
+
+
 class Record:
-    """A frozen record: a subclass names its fields in __slots__ and sets
-    them in __init__ by object.__setattr__.  A record equals only a record
-    of its own class with equal fields, hashes by its fields, and pickles
-    and copies through __init__."""
+    """A record: a subclass names its fields once, in __slots__, and
+    Record.__init__ takes them by position or by name (a subclass that
+    checks or defaults them passes them on in order).  A record is frozen
+    unless its class says frozen=False; it equals only a record of its own
+    class with equal fields, hashes by them if frozen, and pickles and
+    copies through __init__."""
 
     __slots__ = ()
 
-    def __init_subclass__(cls):
+    def __init_subclass__(cls, frozen=True):
         cls.__match_args__ = cls.__slots__
+        if not frozen:
+            cls.__setattr__, cls.__delattr__ = object.__setattr__, object.__delattr__
+            cls.__hash__ = None
+
+    def __init__(self, *values, **named):
+        names = self.__slots__
+        if named or len(values) != len(names):
+            rest = names[len(values):]
+            if len(values) > len(names) or named.keys() != set(rest):
+                raise TypeError(f"{type(self).__name__}() takes {', '.join(names)} once each, "
+                                f"got {len(values)} by position and {sorted(named)} by name")
+            values += tuple(named[name] for name in rest)
+        for name, value in zip(names, values):
+            object.__setattr__(self, name, value)
 
     def _values(self):
         return tuple(map(self.__getattribute__, self.__slots__))

@@ -18,7 +18,7 @@ import operator
 
 from .core import DeformationPoint, energy_level
 from .degeneracy import _residual_raw, bisect_bracket, solve_p_for_q
-from .errors import DomainError, Record
+from .errors import DomainError, Record, to_float
 
 # grid size fixed by the admissibility contract
 _VALIDATE_GRID = 10_000
@@ -52,8 +52,8 @@ class ReductionFamily:
 
 
 def _parameter(value, name, allow_zero=False):
-    """float(value), which must be finite and > 0 (>= 0 with allow_zero)."""
-    value = float(value)
+    """to_float(value), which must be finite and > 0 (>= 0 with allow_zero)."""
+    value = to_float(value, name)
     if not (math.isfinite(value) and (value > 0.0 or allow_zero and value == 0.0)):
         raise DomainError(f"{name} must be {'>=' if allow_zero else '>'} 0, got {value}")
     return value
@@ -100,11 +100,11 @@ class CustomFamily(ReductionFamily):
     """User-supplied map; must be side-effect-free and finite on its domain."""
 
     def __init__(self, func, label, domain_low=0.0):
+        self.domain_low = domain_low = to_float(domain_low, "domain_low")
         if not (0.0 <= domain_low < 1.0):
             raise DomainError(f"domain_low must lie in [0, 1), got {domain_low}")
         self._func = func
         self.label = str(label)
-        self.domain_low = float(domain_low)
 
     def p_of_qs(self, qs):
         return list(map(self._func, qs))
@@ -156,10 +156,10 @@ def _family_ps(fam, qs):
 
 def family_p(fam, q):
     """f(q), validated against the family domain and the unit interval."""
-    return _family_ps(fam, [float(q)])[0]
+    return _family_ps(fam, [to_float(q, "q")])[0]
 
 
-class FamilyReport(Record):
+class FamilyReport(Record, frozen=False):
     """Admissibility check result; failures are content, not exceptions.
 
     endpoint_value is f(1), and violations lists the first _CAP (q, reason)
@@ -168,14 +168,11 @@ class FamilyReport(Record):
     """
 
     __slots__ = ("passed", "endpoint_value", "violations", "n_violations", "notes")
-    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
     _CAP = 10
 
     def __init__(self, passed, endpoint_value, violations=None, n_violations=0, notes=None):
-        self.passed, self.endpoint_value = passed, endpoint_value
-        self.violations = [] if violations is None else violations
-        self.n_violations = n_violations
-        self.notes = [] if notes is None else notes
+        Record.__init__(self, passed, endpoint_value, [] if violations is None else violations,
+                        n_violations, [] if notes is None else notes)
 
 
 def validate_family(fam):

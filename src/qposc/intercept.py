@@ -26,11 +26,6 @@ class InterceptCurve(Record):
 
     __slots__ = ("family", "samples", "extrapolated")
 
-    def __init__(self, family, samples, extrapolated):
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "extrapolated", extrapolated)
-
 
 def _is_extrapolated(fam):
     if isinstance(fam, PowerFamily) and fam.exponent == 0.0:
@@ -50,5 +45,4 @@ def intercept_curve(fam, n_samples):
     span = 1.0 - lo
     qs = [lo + span * i / last for i in range(last)] + [1.0]
     lams = [q + (p - 1.0) for q, p in zip(qs, _family_ps(fam, qs))]
-    return InterceptCurve(family=fam, samples=tuple(zip(qs, lams)),
-                          extrapolated=_is_extrapolated(fam))
+    return InterceptCurve(fam, tuple(zip(qs, lams)), _is_extrapolated(fam))

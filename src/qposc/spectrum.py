@@ -9,7 +9,7 @@ import math
 from numbers import Integral
 
 from .core import DeformationPoint, energy_spectrum
-from .errors import DomainError, Record
+from .errors import DomainError, Record, to_float
 from .families import family_p
 
 
@@ -22,14 +22,6 @@ class SpectrumProfile(Record):
 
     __slots__ = ("family", "q", "energies", "peak_index", "tail_bound", "decay_violations")
 
-    def __init__(self, family, q, energies, peak_index, tail_bound, decay_violations):
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "energies", energies)
-        object.__setattr__(self, "peak_index", peak_index)
-        object.__setattr__(self, "tail_bound", tail_bound)
-        object.__setattr__(self, "decay_violations", decay_violations)
-
 
 def profile(fam, q, n_max=200):
     """Profile the spectrum at the family member q (strictly deformed). On a
@@ -37,7 +29,7 @@ def profile(fam, q, n_max=200):
     stalls in floating point, with the plateau in decay_violations, or n_max."""
     if not isinstance(n_max, Integral) or n_max < 2:
         raise DomainError(f"n_max must be an integer >= 2, got {n_max!r}")
-    q = float(q)
+    q = to_float(q, "q")
     if q >= 1.0:
         raise DomainError("profile needs q < 1; the undeformed spectrum is linear and has no peak")
     point = DeformationPoint(q, family_p(fam, q))
@@ -45,16 +37,14 @@ def profile(fam, q, n_max=200):
     peak = max(range(len(energies)), key=lambda n: (energies[n], -n))
     violations = tuple(n + 1 for n in range(peak, n_max)
                        if energies[n + 1] >= energies[n])
-    return SpectrumProfile(family=fam, q=q, energies=tuple(energies),
-                           peak_index=peak, tail_bound=energies[n_max],
-                           decay_violations=violations)
+    return SpectrumProfile(fam, q, tuple(energies), peak, energies[n_max], violations)
 
 
 def peak_level(fam, q):
     """Index of the spectral maximum in O(1): 2 (q - p)(E_{n+1} - E_n) =
     p^n (1 - p^2) - q^n (1 - q^2) changes sign once in n, at
     n* = ln((1 - q^2)/(1 - p^2)) / ln(p/q), so the peak is floor(n*) + 1."""
-    q = float(q)
+    q = to_float(q, "q")
     if q >= 1.0:
         raise DomainError("peak_level needs q < 1")
     p = DeformationPoint(q, family_p(fam, q)).p

@@ -165,3 +165,30 @@ def test_dir_lists_public_and_submodule_names():
 def test_unknown_name_raises_attribute_error_naming_it():
     with pytest.raises(AttributeError, match="no_such_name"):
         qposc.no_such_name  # noqa: B018
+
+
+POINT = qposc.DeformationPoint(0.5, 0.25)
+FAMILY = qposc.PowerFamily(2)
+# every entry point that converts a real argument, fed a value beyond the float range
+HUGE_REAL_CALLS = {
+    "qp_bracket": lambda x: qposc.qp_bracket(x, POINT),
+    "DeformationPoint.q": lambda x: qposc.DeformationPoint(x, 0.5),
+    "DeformationPoint.p": lambda x: qposc.DeformationPoint(0.5, x),
+    "solve_p_for_q": lambda x: qposc.solve_p_for_q(qposc.DegeneracyCondition(0, 2), x),
+    "PowerFamily": qposc.PowerFamily,
+    "LogFamily": qposc.LogFamily,
+    "ExpFamily": qposc.ExpFamily,
+    "CustomFamily.domain_low": lambda x: qposc.CustomFamily(lambda q: q, "id", domain_low=x),
+    "family_p": lambda x: qposc.family_p(FAMILY, x),
+    "family_energy": lambda x: qposc.family_energy(FAMILY, 2, x),
+    "asymptotic_intercept": lambda x: qposc.asymptotic_intercept(FAMILY, x),
+    "profile": lambda x: qposc.profile(FAMILY, x),
+    "peak_level": lambda x: qposc.peak_level(FAMILY, x),
+}
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("name", sorted(HUGE_REAL_CALLS))
+def test_a_real_argument_beyond_the_float_range_is_a_domain_error(name, sign):
+    with pytest.raises(qposc.DomainError, match="lies outside the float range"):
+        HUGE_REAL_CALLS[name](sign * 10 ** 400)

@@ -314,6 +314,16 @@ class TestOutputContract:
                 assert err.startswith("qposc: ")
                 assert not target.exists()
 
+    @pytest.mark.parametrize("where", ["directory", "missing parent"])
+    def test_out_path_that_cannot_be_written_is_one_line_and_exit_one(self, capsys, tmp_path,
+                                                                      where):
+        target = tmp_path if where == "directory" else tmp_path / "missing" / "table.csv"
+        code, out, err = run_cli(capsys, "curve", "--levels", "0,2", "--samples", "3",
+                                 "--out", str(target))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"qposc: cannot write {target}: ")
+        assert err.count("\n") == 1
+
     def test_numbers_round_trip_at_twelve_digits(self, capsys):
         _, out, _ = run_cli(capsys, "curve", "--levels", "2,3", "--samples", "15")
         for row in data_rows(out):

@@ -146,6 +146,13 @@ class TestPinnedMessages:
             CustomFamily(lambda q: q, "id", domain_low=low)
         assert str(exc.value) == f"domain_low must lie in [0, 1), got {low}"
 
+    def test_custom_domain_low_is_converted_before_it_is_checked(self):
+        fam = CustomFamily(lambda q: q, "id", domain_low="0.5")
+        assert fam.domain_low == 0.5 and type(fam.domain_low) is float
+        with pytest.raises(DomainError) as exc:
+            CustomFamily(lambda q: q, "id", domain_low="1.5")
+        assert str(exc.value) == "domain_low must lie in [0, 1), got 1.5"
+
     @pytest.mark.parametrize("maker, value, text", [
         (PowerFamily, -1, "power exponent must be >= 0, got -1.0"),
         (PowerFamily, math.nan, "power exponent must be >= 0, got nan"),
