@@ -11,6 +11,9 @@ q-oscillator class.  Built-in families:
 
 plus arbitrary user maps via CustomFamily.  A member's value is read one
 way: family_p is the one-point case of the validated grid map _family_ps.
+The three built-in maps are admissible by theorem, so validate_family
+reports them without evaluating them; a subclass or a CustomFamily gets
+the 10 000-point grid.
 """
 
 import math
@@ -76,9 +79,11 @@ class LogFamily(ReductionFamily):
         self.domain_low = math.exp(-1.0 / alpha)  # where p reaches 0
         if self.domain_low == 0.0:
             raise DomainError(f"log coefficient {alpha} too small: exp(-1/alpha) underflows to 0")
-        edge = self.p_of_q(self.domain_low)  # misses 0 if exp(-1/alpha) is subnormal
+        # f misses 0 here if exp(-1/alpha) is subnormal, or if its rounding
+        # (up to 2**-54 near 1) times alpha exceeds the slack: alpha > 18 014
+        edge = self.p_of_q(self.domain_low)
         if not -_BOUNDS_SLACK < edge < _BOUNDS_SLACK:
-            raise DomainError(f"log coefficient {alpha} too small: "
+            raise DomainError(f"log coefficient {alpha} too {'small' if alpha < 1.0 else 'large'}: "
                               f"f(exp(-1/alpha)) = {edge!r}, not within {_BOUNDS_SLACK:g} of 0")
 
     def p_of_qs(self, qs):
@@ -125,6 +130,26 @@ def parse_family(text):
     return makers[kind](number)
 
 
+def _real(p):
+    """float(p), with a number beyond the float range as +-inf."""
+    try:
+        return float(p)
+    except OverflowError:
+        return math.inf if p > 0 else -math.inf
+
+
+def _shown(p):
+    """repr(p), or for a number beyond the float range, whose digits can
+    exceed Python's limit for int to str, six digits and the exponent, as
+    1e+5000."""
+    try:
+        float(p)
+    except OverflowError:
+        exponent, digits = divmod(math.log10(abs(int(p))), 1.0)
+        return f"{'-' if p < 0 else ''}{10.0 ** digits:.6g}e+{exponent:.0f}"
+    return repr(p)
+
+
 def _clamp(p):
     # boundary values like 1 + a*ln(exp(-1/a)) land a few ulp outside [0, 1]
     if -_BOUNDS_SLACK < p < 0.0:
@@ -150,7 +175,7 @@ def _family_ps(fam, qs):
         ps = list(map(_clamp, ps))
         if not _in_unit(ps):
             q, p = next((q, p) for q, p in zip(qs, ps) if not 0.0 <= p <= 1.0)
-            raise DomainError(f"{fam.label} leaves the unit interval: f({q}) = {p}")
+            raise DomainError(f"{fam.label} leaves the unit interval: f({q}) = {_shown(p)}")
     return ps
 
 
@@ -176,27 +201,43 @@ class FamilyReport(Record, frozen=False):
 
 
 def validate_family(fam):
-    """Check the two admissibility requirements on a uniform grid:
-    f is non-decreasing on [domain_low, 1] and f(1) = 1 (plus 0 <= f <= 1).
-    One p_of_qs call evaluates the grid, and C-level passes decide whether
-    the per-point passes that collect the (q, reason) violations run at all."""
+    """Check the admissibility requirements: f is non-decreasing on
+    [domain_low, 1], stays in [0, 1] there, and f(1) = 1, each within
+    _BOUNDS_SLACK.
+
+    An exact PowerFamily, LogFamily or ExpFamily passes by theorem, and its
+    report is made without evaluating the map:
+    - each map is non-decreasing and lies in [0, 1] on its domain;
+    - f(1) is exactly 1.0 in floats: 1.0 ** l, exp(0.0) and 1 + a*log(1.0)
+      are all 1.0;
+    - libm errs by less than 1 ulp, so any computed decrease is a few ulps,
+      far below _BOUNDS_SLACK;
+    - LogFamily.__init__ checks the one point where rounding matters,
+      f(exp(-1/a)), and refuses a member that misses 0 there.
+    Any other map, a subclass of a built-in included, is checked on a
+    uniform grid of _VALIDATE_GRID points: one p_of_qs call evaluates it,
+    and C-level passes decide whether the per-point passes that collect the
+    (q, reason) violations run at all.  A value beyond the float range is a
+    violation like any other."""
+    notes = (["boundary member: constant map p = 1"]
+             if isinstance(fam, PowerFamily) and fam.exponent == 0.0 else [])
+    if type(fam) in (PowerFamily, LogFamily, ExpFamily):
+        return FamilyReport(passed=True, endpoint_value=1.0, notes=notes)
     lo = fam.domain_low
     step = (1.0 - lo) / (_VALIDATE_GRID - 1)
     qs = [lo + i * step for i in range(_VALIDATE_GRID - 1)] + [1.0]
     ps = fam.p_of_qs(qs)
 
     found = []
-    if abs(ps[-1] - 1.0) > _BOUNDS_SLACK:
-        found.append((1.0, f"f(1) = {ps[-1]!r}, expected 1"))
+    if abs(_real(ps[-1]) - 1.0) > _BOUNDS_SLACK:
+        found.append((1.0, f"f(1) = {_shown(ps[-1])}, expected 1"))
     rising = all(map(operator.le, ps, ps[1:]))  # False next to any NaN
     if not (rising and -_BOUNDS_SLACK <= ps[0] and ps[-1] <= 1.0 + _BOUNDS_SLACK):
-        found += [(q, f"f(q) = {p!r} outside [0, 1]") for q, p in zip(qs, ps)
-                  if not math.isfinite(p) or p < -_BOUNDS_SLACK or p > 1.0 + _BOUNDS_SLACK]
+        found += [(q, f"f(q) = {_shown(p)} outside [0, 1]") for q, p in zip(qs, ps)
+                  if not -_BOUNDS_SLACK <= p <= 1.0 + _BOUNDS_SLACK]  # NaN is outside
     if not rising:
-        found += [(q, f"f decreases: {a!r} -> {b!r}") for q, a, b in zip(qs[1:], ps, ps[1:])
-                  if b < a - _BOUNDS_SLACK]
-    notes = (["boundary member: constant map p = 1"]
-             if isinstance(fam, PowerFamily) and fam.exponent == 0.0 else [])
+        found += [(q, f"f decreases: {_shown(a)} -> {_shown(b)}")
+                  for q, a, b in zip(qs[1:], ps, ps[1:]) if _real(b) < _real(a) - _BOUNDS_SLACK]
     return FamilyReport(passed=not found, endpoint_value=ps[-1], notes=notes,
                         violations=found[:FamilyReport._CAP], n_violations=len(found))
 

@@ -96,6 +96,7 @@ SUBCOMMAND_MODULES = {
     "fock": CLI | {"qposc.core"},
     "solve_power": CLI | {"qposc.core", "qposc.degeneracy", "qposc.families"},
     "solve_log": CLI | {"qposc.core", "qposc.degeneracy", "qposc.families"},
+    "solve_exp": CLI | {"qposc.core", "qposc.degeneracy", "qposc.families"},
     "spectrum": CLI | {"qposc.core", "qposc.degeneracy", "qposc.families",
                        "qposc.spectrum"},
     "intercept": CLI | {"qposc.core", "qposc.degeneracy", "qposc.families",

@@ -85,6 +85,17 @@ class TestFamilyMaps:
         assert str(exc.value) == (f"log coefficient {alpha} too small: "
                                   f"f(exp(-1/alpha)) = {edge!r}, not within 1e-12 of 0")
 
+    @pytest.mark.parametrize("alpha", [18026.970007450036, 150_000.0, 1e8, 1e16, 1e300])
+    def test_log_domain_edge_that_misses_zero_for_a_large_coefficient(self, alpha):
+        # exp(-1/alpha) lies within 1/alpha of 1, where its rounding error
+        # times alpha moves f(domain_low) off 0
+        edge = 1.0 + alpha * math.log(math.exp(-1.0 / alpha))
+        assert abs(edge) > 1e-12
+        with pytest.raises(DomainError) as exc:
+            LogFamily(alpha)
+        assert str(exc.value) == (f"log coefficient {alpha} too large: "
+                                  f"f(exp(-1/alpha)) = {edge!r}, not within 1e-12 of 0")
+
     def test_accepted_log_members_start_at_zero(self):
         rng = np.random.default_rng(13)
         for alpha in np.exp(rng.uniform(math.log(0.001342), math.log(0.0015), size=2000)):
@@ -139,6 +150,20 @@ class TestPinnedMessages:
         with pytest.raises(DomainError) as exc:
             family_p(CustomFamily(func, label), q)
         assert str(exc.value) == f"{label} leaves the unit interval: f({q}) = {shown}"
+
+    @pytest.mark.parametrize("value, shown", [(10 ** 5000, "1e+5000"),
+                                              (-3 * 10 ** 400, "-3e+400")],
+                             ids=["1e+5000", "-3e+400"])
+    def test_a_value_beyond_the_float_range_is_shown_by_its_leading_digits(self, value,
+                                                                           shown):
+        # str(10**5000) exceeds Python's int-to-str digit limit
+        fam = CustomFamily(lambda q: value, "big")
+        with pytest.raises(DomainError) as exc:
+            family_p(fam, 0.5)
+        assert str(exc.value) == f"big leaves the unit interval: f(0.5) = {shown}"
+        with pytest.raises(DomainError) as exc:
+            solve_degeneracy_on_family(fam, Cond(0, 2))
+        assert str(exc.value) == f"big leaves the unit interval: f(0.0) = {shown}"
 
     @pytest.mark.parametrize("low", [-0.1, 1.0, math.nan])
     def test_custom_domain_low_outside_the_unit_interval(self, low):
@@ -226,6 +251,35 @@ class TestValidation:
     def test_wrong_endpoint_fails(self):
         report = validate_family(CustomFamily(lambda q: 0.9 * q, label="short"))
         assert not report.passed
+
+    def test_value_beyond_the_float_range_is_a_violation(self):
+        report = validate_family(CustomFamily(lambda q: 10 ** 400 if q < 0.5 else q, "big"))
+        assert not report.passed
+        assert report.n_violations == 5001  # 5000 points outside [0, 1], then one fall
+        assert report.violations[:2] == [(0.0, "f(q) = 1e+400 outside [0, 1]"),
+                                          (1.0 / 9999, "f(q) = 1e+400 outside [0, 1]")]
+        report = validate_family(CustomFamily(lambda q: 10 ** 400, "big"))
+        assert (report.passed, report.endpoint_value, report.n_violations) \
+            == (False, 10 ** 400, 10_001)
+        assert report.violations[0] == (1.0, "f(1) = 1e+400, expected 1")
+
+    def test_built_in_members_are_reported_without_the_grid(self, monkeypatch):
+        members = [PowerFamily(2.5), PowerFamily(0), LogFamily(6.05), LogFamily(0.0014),
+                   ExpFamily(0.5)]
+        evaluated = []
+        for cls in (PowerFamily, LogFamily, ExpFamily):
+            def counted(self, qs, p_of_qs=cls.p_of_qs):
+                evaluated.append(len(qs))
+                return p_of_qs(self, qs)
+            monkeypatch.setattr(cls, "p_of_qs", counted)
+        assert all(validate_family(fam).passed for fam in members)
+        assert evaluated == []
+
+        class Steeper(ExpFamily):
+            pass
+
+        assert validate_family(Steeper(0.5)).passed
+        assert evaluated == [10_000]
 
     @pytest.mark.parametrize("fam", [
         CustomFamily(lambda q: 1.0 - q * (1.0 - q), "dip"),

@@ -14,7 +14,10 @@ digits (CHANGES.md, FOUND).  A power member meets the k-th ground curve at
 p <= q_k, so at q <= q_k^(1/l): below the smallest positive double once
 l < ln(1/q_k)/745, and there the solver raises DomainError.
 
-The last two tests check the curve inversion that all of these rest on:
+validate_family reports a built-in member without evaluating it; one test
+checks that report against the grid report of the same map, over the whole
+positive float range of each parameter.  The last two tests check the curve
+inversion that all of these rest on:
 every p that solve_p_for_q returns is certified by the residual itself.
 """
 
@@ -23,9 +26,10 @@ import math
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qposc import (DeformationPoint, DegeneracyCondition, DomainError, ExpFamily,
-                   LogFamily, PowerFamily, endpoint_q, family_energy, family_p, peak_level,
-                   residual, solve_degeneracy_on_family, solve_p_for_q)
+from qposc import (CustomFamily, DeformationPoint, DegeneracyCondition, DomainError,
+                   ExpFamily, LogFamily, PowerFamily, endpoint_q, family_energy, family_p,
+                   peak_level, residual, solve_degeneracy_on_family, solve_p_for_q,
+                   validate_family)
 from qposc.families import _family_ps
 
 PROPERTY = settings(derandomize=True, max_examples=200, deadline=None)
@@ -110,6 +114,34 @@ def test_the_bulk_map_is_the_pointwise_map_bit_for_bit(fam, us):
     assert ([p.hex() for p in fam.p_of_qs(qs)] == [fam.p_of_q(q).hex() for q in qs]
             == [formula(fam, q).hex() for q in qs])
     assert [p.hex() for p in _family_ps(fam, qs)] == [family_p(fam, q).hex() for q in qs]
+
+
+# parameters from 5e-324 to near the float maximum, log-uniform, with the
+# ends themselves; log coefficients over [1e-3, 1e6], across both of the
+# limits where LogFamily refuses a member
+LARGEST = math.nextafter(math.inf, 0.0)
+magnitudes = st.sampled_from([5e-324, LARGEST]) | st.floats(-744.0, 709.78).map(math.exp)
+built_in_parameters = st.one_of(
+    st.tuples(st.just(PowerFamily), st.just(0.0) | magnitudes),
+    st.tuples(st.just(LogFamily), st.floats(math.log(1e-3), math.log(1e6)).map(math.exp)),
+    st.tuples(st.just(ExpFamily), magnitudes),
+)
+
+
+@PROPERTY
+@given(made=built_in_parameters)
+def test_a_built_in_members_report_is_its_grid_report(made):
+    maker, value = made
+    try:
+        fam = maker(value)
+    except DomainError:  # LogFamily refuses a member whose edge misses 0
+        assume(False)
+    closed = validate_family(fam)
+    grid = validate_family(CustomFamily(fam.p_of_q, fam.label, fam.domain_low))
+    constant = isinstance(fam, PowerFamily) and fam.exponent == 0.0
+    assert closed.notes == (["boundary member: constant map p = 1"] if constant else [])
+    closed.notes = grid.notes
+    assert repr(closed) == repr(grid)
 
 
 pairs = st.integers(1, 80).flatmap(lambda m2: st.tuples(st.integers(0, m2 - 1), st.just(m2)))
