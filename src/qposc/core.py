@@ -26,12 +26,14 @@ and memory and without numpy.
 import math
 import sys
 from itertools import islice, pairwise
-from numbers import Integral
 
-from .errors import DomainError, Record, to_float
+from .errors import DomainError, Record, to_float, to_index
 
 # Exported for compatibility (qposc.__all__); no code path reads it.
 EPS_EQUAL = 1e-9
+# each index is below islice's bound, so energy_spectrum's n + 1 meets it too
+_LEVEL_RULE = f"level index must be a non-negative integer below sys.maxsize = {sys.maxsize}"
+_DIM_RULE = f"representation dimension must be an integer in [2, sys.maxsize = {sys.maxsize})"
 
 
 class DeformationPoint(Record):
@@ -61,21 +63,10 @@ def _bracket_iter(q, p):
         bracket, p_pow = q * bracket + p_pow, p_pow * p
 
 
-def _check_level(n):
-    """Every integer index, of a bracket or a level, passes here; the bound
-    is islice's, which energy_spectrum's n + 1 must meet too."""
-    if not isinstance(n, (int, Integral)) or isinstance(n, bool):  # int skips the ABC hook
-        raise DomainError(f"level index must be an integer, got {n!r}")
-    if n < 0:
-        raise DomainError(f"level index must be non-negative, got {n}")
-    if n >= sys.maxsize:
-        raise DomainError(f"level index must be below sys.maxsize = {sys.maxsize}, got {n}")
-
-
 def qp_bracket_int(k, point):
     """The bracket [[k]] for an integer k >= 0, by [[k+1]] = q [[k]] + p^k;
     no special case at q == p or on the axes, where p^0 == 1 gives [[1]] == 1."""
-    _check_level(k)
+    k = to_index(k, _LEVEL_RULE)
     return next(islice(_bracket_iter(point.q, point.p), k, None))
 
 
@@ -114,13 +105,13 @@ def qp_bracket(x, point):
 
 def energy_level(n, point):
     """E_n = ([[n+1]] + [[n]]) / 2 for the deformed oscillator."""
-    _check_level(n)
+    n = to_index(n, _LEVEL_RULE)
     return next(islice(energy_iter(point), n, None))
 
 
 def energy_spectrum(n_max, point):
     """[E_0, ..., E_n_max] in O(n_max): the first values of energy_iter."""
-    _check_level(n_max)
+    n_max = to_index(n_max, _LEVEL_RULE)
     return list(islice(energy_iter(point), n_max + 1))
 
 
@@ -145,9 +136,7 @@ class FockRep(Record):
 def _superdiagonal(dim, point):
     """[sqrt([[1]]), ..., sqrt([[dim-1]])]: the superdiagonal of A in the
     dim-dimensional truncation, the only non-zero entries of A and A+."""
-    if not isinstance(dim, Integral) or not 2 <= dim < sys.maxsize:  # islice's bound
-        raise DomainError(f"representation dimension must be an integer in "
-                          f"[2, sys.maxsize = {sys.maxsize}), got {dim!r}")
+    dim = to_index(dim, _DIM_RULE, low=2)
     return [math.sqrt(bracket) for bracket in islice(_bracket_iter(point.q, point.p), 1, dim)]
 
 
@@ -179,7 +168,7 @@ def fock_rep(dim, point):
     state is necessarily violated by the cutoff.
     """
     s = _superdiagonal(dim, point)
-    np = _numpy()
+    np, dim = _numpy(), len(s) + 1  # dim as the int that _superdiagonal checked
     a = np.diag(s, 1)
     return FockRep(dim, a, a.T.copy(), np.diag(np.arange(dim, dtype=float)))
 

@@ -40,10 +40,9 @@ set of those integers (_residual_partials).
 import math
 import sys
 from functools import partial
-from numbers import Integral
 from typing import NamedTuple, Optional
 
-from .errors import ConsistencyError, DomainError, Record, to_float
+from .errors import ConsistencyError, DomainError, Record, to_float, to_index
 
 GROUND = "ground"
 NEIGHBOR = "neighbor"
@@ -53,6 +52,8 @@ _ON_CURVE_TOL = 1e-8
 # F's exact integers take up to e (m2 + 1) bits, e <= 1074 for subnormal q or
 # p; past this m2 that bit count, a shift's operand, exceeds sys.maxsize
 _MAX_M2 = sys.maxsize // 1074 - 1
+_INDEX_RULE = (f"level indices must be non-negative integers at most {_MAX_M2}, "
+               f"past which F's exact integers would take over sys.maxsize bits")
 
 
 class DegeneracyCondition(Record):
@@ -61,15 +62,10 @@ class DegeneracyCondition(Record):
     __slots__ = ("m1", "m2")
 
     def __init__(self, m1, m2):
-        for m in (m1, m2):
-            if not isinstance(m, (int, Integral)) or isinstance(m, bool) or m < 0:
-                raise DomainError(f"level indices must be non-negative integers, got {m!r}")
-        m1, m2 = int(m1), int(m2)
+        m1 = to_index(m1, _INDEX_RULE, high=_MAX_M2 + 1)
+        m2 = to_index(m2, _INDEX_RULE, high=_MAX_M2 + 1)
         if m1 >= m2:
             raise DomainError(f"need m1 < m2, got ({m1}, {m2})")
-        if m2 > _MAX_M2:
-            raise DomainError(f"need m2 <= {_MAX_M2}, got {m2}: F's exact "
-                              f"integers would take over sys.maxsize bits")
         Record.__init__(self, m1, m2)
 
     @property
@@ -341,15 +337,14 @@ def trace_curve(cond, n_samples):
     axis touch points.  A vertical tangent at an endpoint is reported as
     an infinite slope.
     """
-    if not isinstance(n_samples, Integral) or n_samples < 2:
-        raise DomainError(f"need at least 2 samples, got {n_samples!r}")
+    n_samples = to_index(n_samples, "need at least 2 samples, below sys.maxsize", low=2)
     if (cond.m1, cond.m2) == (0, 1):
         # E_1 - E_0 = (q + p)/2 > 0 on the whole admissible square
         raise DomainError("the pair (0, 1) has no degeneracy locus")
     q_hi = endpoint_q(cond) if cond.kind == GROUND else 1.0
 
     samples = []
-    last = int(n_samples) - 1
+    last = n_samples - 1
     for i in range(n_samples):
         qv = q_hi * i / last
         if i == 0:

@@ -1,5 +1,10 @@
 """Exception types shared across the package, the one conversion of its real
-arguments, and the base of its records."""
+arguments and the one of its integer arguments, the one formatter of numbers
+that Python will not print, and the base of its records."""
+
+import math
+import sys
+from numbers import Integral
 
 
 class DomainError(ValueError):
@@ -19,6 +24,29 @@ def to_float(value, name):
         return float(value)
     except OverflowError:
         raise DomainError(f"{name} lies outside the float range") from None
+
+
+def to_index(value, rule, low=0, high=sys.maxsize):
+    """int(value) for an int or other Integral, never a bool (int is tested
+    first: it skips the ABC's hook), in [low, high); else a DomainError
+    "{rule}, got {value}".  sys.maxsize is islice's bound."""
+    if isinstance(value, (int, Integral)) and not isinstance(value, bool) and low <= value < high:
+        return int(value)
+    raise DomainError(f"{rule}, got {_shown(value)}")
+
+
+def _shown(value):
+    """repr(value), or for a number beyond the float range, whose digits can
+    exceed Python's limit for int to str, six digits and the exponent, as
+    1e+5000."""
+    try:
+        float(value)
+    except OverflowError:
+        exponent, digits = divmod(math.log10(abs(int(value))), 1.0)
+        return f"{'-' if value < 0 else ''}{10.0 ** digits:.6g}e+{exponent:.0f}"
+    except (TypeError, ValueError):  # not a number
+        pass
+    return repr(value)
 
 
 class Record:
@@ -52,7 +80,7 @@ class Record:
         return tuple(map(self.__getattribute__, self.__slots__))
 
     def __repr__(self):
-        fields = ", ".join(map("{}={!r}".format, self.__slots__, self._values()))
+        fields = ", ".join(map("{}={}".format, self.__slots__, map(_shown, self._values())))
         return f"{type(self).__qualname__}({fields})"
 
     def __eq__(self, other):

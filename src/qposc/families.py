@@ -21,7 +21,7 @@ import operator
 
 from .core import DeformationPoint, energy_level
 from .degeneracy import _residual_raw, bisect_bracket, solve_p_for_q
-from .errors import DomainError, Record, to_float
+from .errors import DomainError, Record, _shown, to_float
 
 # grid size fixed by the admissibility contract
 _VALIDATE_GRID = 10_000
@@ -136,18 +136,6 @@ def _real(p):
         return float(p)
     except OverflowError:
         return math.inf if p > 0 else -math.inf
-
-
-def _shown(p):
-    """repr(p), or for a number beyond the float range, whose digits can
-    exceed Python's limit for int to str, six digits and the exponent, as
-    1e+5000."""
-    try:
-        float(p)
-    except OverflowError:
-        exponent, digits = divmod(math.log10(abs(int(p))), 1.0)
-        return f"{'-' if p < 0 else ''}{10.0 ** digits:.6g}e+{exponent:.0f}"
-    return repr(p)
 
 
 def _clamp(p):

@@ -8,16 +8,20 @@ For every other family the same expression is an extrapolation and is
 labeled as such in emitted tables.
 """
 
-from numbers import Integral
+from .errors import Record, to_float, to_index
+from .families import ExpFamily, PowerFamily, _family_ps
 
-from .errors import DomainError, Record
-from .families import ExpFamily, PowerFamily, _family_ps, family_p
+
+def _intercepts(fam, qs):
+    """lambda = q + f(q) - 1 on a rising grid qs, grouped as q + (p - 1)
+    so that the constant family returns q bit-exactly."""
+    return [q + (p - 1.0) for q, p in zip(qs, _family_ps(fam, qs))]
 
 
 def asymptotic_intercept(fam, q):
-    """lambda(q) = q + f(q) - 1; equals 1 at q = 1 for any admissible family."""
-    # grouped as q + (p - 1) so the constant family returns q bit-exactly
-    return q + (family_p(fam, q) - 1.0)
+    """lambda(q) = q + f(q) - 1; equals 1 at q = 1 for any admissible family.
+    The one-point case of _intercepts, as family_p is of _family_ps."""
+    return _intercepts(fam, [to_float(q, "q")])[0]
 
 
 class InterceptCurve(Record):
@@ -38,11 +42,8 @@ def _is_extrapolated(fam):
 def intercept_curve(fam, n_samples):
     """Sample the intercept on a uniform q-grid over the family domain, in
     one pass: asymptotic_intercept(fam, q) bit for bit, or its first error."""
-    if not isinstance(n_samples, Integral) or n_samples < 2:
-        raise DomainError(f"need at least 2 samples, got {n_samples!r}")
+    last = to_index(n_samples, "need at least 2 samples, below sys.maxsize", low=2) - 1
     lo = fam.domain_low
-    last = int(n_samples) - 1
     span = 1.0 - lo
     qs = [lo + span * i / last for i in range(last)] + [1.0]
-    lams = [q + (p - 1.0) for q, p in zip(qs, _family_ps(fam, qs))]
-    return InterceptCurve(fam, tuple(zip(qs, lams)), _is_extrapolated(fam))
+    return InterceptCurve(fam, tuple(zip(qs, _intercepts(fam, qs))), _is_extrapolated(fam))

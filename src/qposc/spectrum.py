@@ -6,10 +6,9 @@ peak moves right as q grows toward the equally-spaced q = 1 limit.
 """
 
 import math
-from numbers import Integral
 
 from .core import DeformationPoint, energy_spectrum
-from .errors import DomainError, Record, to_float
+from .errors import DomainError, Record, to_float, to_index
 from .families import family_p
 
 
@@ -27,14 +26,13 @@ def profile(fam, q, n_max=200):
     """Profile the spectrum at the family member q (strictly deformed). On a
     member with p = 1 (no peak, see peak_level) peak_index is where the rise
     stalls in floating point, with the plateau in decay_violations, or n_max."""
-    if not isinstance(n_max, Integral) or n_max < 2:
-        raise DomainError(f"n_max must be an integer >= 2, got {n_max!r}")
+    n_max = to_index(n_max, "n_max must be an integer >= 2 and below sys.maxsize", low=2)
     q = to_float(q, "q")
     if q >= 1.0:
         raise DomainError("profile needs q < 1; the undeformed spectrum is linear and has no peak")
     point = DeformationPoint(q, family_p(fam, q))
     energies = energy_spectrum(n_max, point)
-    peak = max(range(len(energies)), key=lambda n: (energies[n], -n))
+    peak = energies.index(max(energies))  # the first maximum
     violations = tuple(n + 1 for n in range(peak, n_max)
                        if energies[n + 1] >= energies[n])
     return SpectrumProfile(fam, q, tuple(energies), peak, energies[n_max], violations)

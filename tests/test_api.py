@@ -193,3 +193,33 @@ HUGE_REAL_CALLS = {
 def test_a_real_argument_beyond_the_float_range_is_a_domain_error(name, sign):
     with pytest.raises(qposc.DomainError, match="lies outside the float range"):
         HUGE_REAL_CALLS[name](sign * 10 ** 400)
+
+
+# every entry point that takes an integer index or size, called with n
+INDEX_CALLS = {
+    "qp_bracket_int": lambda n: qposc.qp_bracket_int(n, POINT),
+    "energy_level": lambda n: qposc.energy_level(n, POINT),
+    "energy_spectrum": lambda n: qposc.energy_spectrum(n, POINT),
+    "fock_rep": lambda n: qposc.fock_rep(n, POINT),
+    "DegeneracyCondition": lambda n: qposc.DegeneracyCondition(0, n),
+    "trace_curve": lambda n: qposc.trace_curve(qposc.DegeneracyCondition(0, 2), n),
+    "intercept_curve": lambda n: qposc.intercept_curve(FAMILY, n),
+    "profile": lambda n: qposc.profile(FAMILY, 0.5, n),
+}
+
+
+# Only values that the bound rejects: an admitted count near it, such as
+# 2**62 samples, would run for ever.
+@pytest.mark.parametrize("value", [True, 1.5, "3", -1, 2 ** 63, 10 ** 5000],
+                         ids=["True", "1.5", "'3'", "-1", "2**63", "10**5000"])
+@pytest.mark.parametrize("name", sorted(INDEX_CALLS))
+def test_an_integer_argument_that_is_not_an_admitted_int_is_a_domain_error(name, value):
+    with pytest.raises(qposc.DomainError, match=", got "):
+        INDEX_CALLS[name](value)
+
+
+@pytest.mark.parametrize("name", sorted(INDEX_CALLS))
+def test_an_integer_argument_may_be_a_numpy_integer(name):
+    np = pytest.importorskip("numpy")
+    call = INDEX_CALLS[name]
+    assert repr(call(np.int64(3))) == repr(call(3))  # FockRep compares by identity

@@ -165,6 +165,11 @@ class TestPinnedMessages:
             solve_degeneracy_on_family(fam, Cond(0, 2))
         assert str(exc.value) == f"big leaves the unit interval: f(0.0) = {shown}"
 
+    def test_a_report_value_beyond_the_float_range_is_shown_in_its_repr(self):
+        report = validate_family(CustomFamily(lambda q: 10 ** 5000, "big"))
+        assert repr(report).startswith("FamilyReport(passed=False, endpoint_value=1e+5000, "
+                                       "violations=[(1.0, 'f(1) = 1e+5000, expected 1'), ")
+
     @pytest.mark.parametrize("low", [-0.1, 1.0, math.nan])
     def test_custom_domain_low_outside_the_unit_interval(self, low):
         with pytest.raises(DomainError) as exc:

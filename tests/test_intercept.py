@@ -47,6 +47,15 @@ class TestPointValues:
         with pytest.raises(DomainError):
             asymptotic_intercept(LogFamily(1.0), 0.1)
 
+    @pytest.mark.parametrize("q", ["0.5", np.float32(0.5), np.float64(0.5)],
+                             ids=["str", "float32", "float64"])
+    def test_q_is_converted_before_the_arithmetic(self, q):
+        # q + (p - 1) used the raw q: a str raised TypeError, and a numpy
+        # float gave a numpy float (float32 0.2788008)
+        lam = asymptotic_intercept(ExpFamily(0.5), q)
+        assert type(lam) is float
+        assert lam == asymptotic_intercept(ExpFamily(0.5), 0.5) == 0.2788007830714049
+
 
 class TestCurve:
     def test_exp_half_endpoints(self):

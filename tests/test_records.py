@@ -121,6 +121,14 @@ def test_family_report_deepcopy_does_not_share_lists():
     assert again == report and again.violations is not report.violations
 
 
+def test_a_field_beyond_the_float_range_is_shown_by_its_leading_digits():
+    # str(10**5000) exceeds Python's int-to-str digit limit
+    report = FamilyReport(False, 10 ** 5000, notes=["a note"])
+    assert repr(report) == ("FamilyReport(passed=False, endpoint_value=1e+5000, "
+                            "violations=[], n_violations=0, notes=['a note'])")
+    assert repr(DegeneracyCondition(0, 2 ** 40)) == "DegeneracyCondition(m1=0, m2=1099511627776)"
+
+
 def fock_fields(rep):
     return rep.dim, rep.a_matrix, rep.a_dagger_matrix, rep.n_matrix
 
