@@ -364,6 +364,14 @@ class TestFock:
         want = np.diag([qp_bracket_int(n, pt) for n in range(6)])
         assert np.allclose(rep.a_dagger_matrix @ rep.a_matrix, want, atol=1e-12)
 
+    def test_matrices_are_the_superdiagonal_its_transpose_and_the_levels(self):
+        pt = DeformationPoint(0.7, 0.9)
+        for dim in (2, 3, 7, 500):
+            rep, a = fock_rep(dim, pt), np.diag(_superdiagonal(dim, pt), 1)
+            for got, want in ((rep.a_matrix, a), (rep.a_dagger_matrix, a.T),
+                              (rep.n_matrix, np.diag(np.arange(dim, dtype=float)))):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+
     def test_dimension_rejected(self):
         with pytest.raises(DomainError):
             fock_rep(1, DeformationPoint(0.5, 0.5))
