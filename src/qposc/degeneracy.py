@@ -32,14 +32,17 @@ ints, rounded once (_residual_raw): every computed sign of F is its true
 sign, and the root is the one pair of adjacent floats at which that sign
 changes.  A walk from Newton's estimate towards the root, in steps that
 double from one ulp, brackets it (_root); bisect_bracket, which the
-in-family solver of qposc.families uses too, finishes it.  At a curve
-point the on-curve check and the slope read F, dF/dq and dF/dp from one
-set of those integers (_residual_partials).
+in-family solver of qposc.families uses too, finishes it.  q is fixed for
+a p-solve, so q's half of those integers, phi(q) and phi'(q), is computed
+once per solve (_residual_at), and each evaluation computes p's half
+alone; the evaluation counts are as they were.  At a curve point the
+on-curve check and the slope read F, dF/dq and dF/dp from one set of those
+integers (_residual_partials), with phi and phi' at each point from one
+pair of big powers (_phi_pair).
 """
 
 import math
 import sys
-from functools import partial
 from typing import NamedTuple, Optional
 
 from .errors import ConsistencyError, DomainError, Record, to_float, to_index
@@ -110,34 +113,70 @@ def _phi_int(cond, n, e, j=0):
                       - (perm(m1 + 1, j) * n + perm(m1, j) * unit) * unit_d) // n ** j
 
 
-def _residual_int(cond, nq, np_, e):
-    """N = F(q, p) 2^(e m2), an integer: (Phi(n_q) - Phi(n_p)) / (n_q - n_p)
-    off the diagonal, Phi'(n) on it."""
-    if nq == np_:
-        return _phi_int(cond, nq, e, 1)
-    return (_phi_int(cond, nq, e) - _phi_int(cond, np_, e)) // (nq - np_)
-
-
 def _residual_raw(cond, q, p):
     """F(q, p) correctly rounded: the exact quotient N / 2^(e m2) of Python
     ints (CPython's int / int rounds correctly), so its sign is F's own
-    unless |F| <= 2^-1075 rounds to 0.0."""
+    unless |F| <= 2^-1075 rounds to 0.0.  N = F(q, p) 2^(e m2) is
+    (Phi(n_q) - Phi(n_p)) / (n_q - n_p) off the diagonal, Phi'(n) on it."""
     nq, np_, e = _dyadic(q, p)
-    return _residual_int(cond, nq, np_, e) / (1 << e * cond.m2)
+    if nq == np_:
+        return _phi_int(cond, nq, e, 1) / (1 << e * cond.m2)
+    return (_phi_int(cond, nq, e) - _phi_int(cond, np_, e)) // (nq - np_) / (1 << e * cond.m2)
+
+
+def _phi_pair(cond, n, e):
+    """(Phi(n), Phi'(n)) from one pair of big powers and no division:
+
+        Phi'(n) = n^(m1-1) (n^d ((m2+1) n + m2 u) - u^d ((m1+1) n + m1 u)),
+
+    which for m1 = 0 is n^(d-1) ((m2+1) n + m2 u) - u^d."""
+    m1, m2, d = cond.m1, cond.m2, cond.m2 - cond.m1
+    unit, unit_d = 1 << e, 1 << e * d
+    if m1:
+        low, high = n ** (m1 - 1), n ** d
+        return ((unit + n) * low * n * (high - unit_d),
+                low * (high * ((m2 + 1) * n + m2 * unit) - unit_d * ((m1 + 1) * n + m1 * unit)))
+    high = n ** (d - 1)
+    return (unit + n) * (high * n - unit_d), high * ((m2 + 1) * n + m2 * unit) - unit_d
+
+
+def _residual_at(cond, q):
+    """f(p) = _residual_raw(cond, q, p), bit for bit, with q's half computed
+    once: Phi(n_q) and Phi'(n_q) at q's own denominator 2^e_q.  Phi^(j) is
+    homogeneous of degree m2 + 1 - j in (n, 2^e), so a p with a larger
+    denominator shifts them left, and one with a smaller shifts n_p; each
+    evaluation then computes Phi(n_p) alone."""
+    nq, den = q.as_integer_ratio()
+    eq, m2 = den.bit_length() - 1, cond.m2
+    phi_q, dphi_q = _phi_pair(cond, nq, eq)
+
+    def f(p):
+        np_, den = p.as_integer_ratio()
+        e = den.bit_length() - 1
+        if e <= eq:  # to q's denominator: shift n_p
+            np_, e, n, phi, dphi = np_ << eq - e, eq, nq, phi_q, dphi_q
+        else:  # to p's: shift n_q, Phi(n_q) and Phi'(n_q) by their degrees
+            s = e - eq
+            n, phi, dphi = nq << s, phi_q << s * (m2 + 1), dphi_q << s * m2
+        if n == np_:
+            return dphi / (1 << e * m2)
+        return (phi - _phi_int(cond, np_, e)) // (n - np_) / (1 << e * m2)
+    return f
 
 
 def _residual_partials(cond, q, p):
-    """(F, dF/dq, dF/dp) correctly rounded, from one _dyadic and four Phi
-    values: off the diagonal dF/dq = (phi'(q) - F) / (q - p) and dF/dp is its
-    mirror (F is symmetric), on it F = phi'(x) and both are phi''(x) / 2."""
+    """(F, dF/dq, dF/dp) correctly rounded, from one _dyadic and Phi, Phi' at
+    n_q and n_p (two _phi_pair calls): off the diagonal
+    dF/dq = (phi'(q) - F) / (q - p) and dF/dp is its mirror (F is
+    symmetric), on it F = phi'(x) and both are phi''(x) / 2."""
     nq, np_, e = _dyadic(q, p)
-    n = _residual_int(cond, nq, np_, e)
-    f = n / (1 << e * cond.m2)
     if nq == np_:
         d = _phi_int(cond, nq, e, 2) / (2 << e * (cond.m2 - 1))
-        return f, d, d
+        return _phi_int(cond, nq, e, 1) / (1 << e * cond.m2), d, d
+    (phi_q, dphi_q), (phi_p, dphi_p) = _phi_pair(cond, nq, e), _phi_pair(cond, np_, e)
+    n = (phi_q - phi_p) // (nq - np_)
     den = (nq - np_) << e * (cond.m2 - 1)
-    return f, (_phi_int(cond, nq, e, 1) - n) / den, (_phi_int(cond, np_, e, 1) - n) / -den
+    return n / (1 << e * cond.m2), (dphi_q - n) / den, (dphi_p - n) / -den
 
 
 def residual(cond, point):
@@ -207,13 +246,12 @@ def bisect_bracket(f, lo, hi):
             lo = mid
 
 
-def _root(cond, q, lo, hi):
-    """The p-root of F(q, .) on [lo, hi] as two adjacent floats.  F's exact
+def _root(cond, q, f, lo, hi):
+    """The p-root of f = F(q, .) on [lo, hi] as two adjacent floats.  F's exact
     sign at Newton's estimate x says which way the root lies; the walk goes
     that way in steps doubling from ulp(x) (Bentley and Yao's unbounded
     search) and never evaluates an end.  bisect_bracket finishes it, or
     bisects the whole bracket if there is no estimate."""
-    f = partial(_residual_raw, cond, q)
     x = _estimate_p(cond, q, lo, hi)
     if x is not None:
         w = math.ulp(x)
@@ -247,14 +285,15 @@ def solve_p_for_q(cond, q) -> Optional[float]:
     if (cond.m1, cond.m2) == (0, 1):
         return None  # E_1 - E_0 = (q + p)/2 > 0 on the whole admissible square
 
-    if _residual_raw(cond, q, q) <= 0.0:
+    f = _residual_at(cond, q)
+    if f(q) <= 0.0:
         lo, hi = q, 1.0
     else:
-        f0 = _residual_raw(cond, q, 0.0)
+        f0 = f(0.0)
         if f0 >= 0.0:  # past q_m, or F(q, 0) == 0 at q = q_m or q = 1
             return None if f0 > 0.0 else 0.0
         lo, hi = 0.0, q
-    lo, hi = _root(cond, q, lo, hi)
+    lo, hi = _root(cond, q, f, lo, hi)
     return 0.5 * (lo + hi)
 
 
@@ -305,7 +344,7 @@ def implicit_derivative(cond, point):
 def endpoint_q(cond):
     """Largest q reached by a ground-type curve: the root of q^m + q^(m-1) = 1.
 
-    It is the q = 0 p-root of its pair, _root(cond, 0, 0, 1); the lower end
+    It is the q = 0 p-root of its pair, _root on [0, 1]; the lower end
     is returned, and F(0, x) = x^m + x^(m-1) - 1 is F(x, 0) exactly, so
     F(q_m, 0) <= 0 where solve_p_for_q evaluates it.  F(0, x) is increasing
     and its computed signs are exact, so every sign-keeping bracket shrink
@@ -313,7 +352,7 @@ def endpoint_q(cond):
     """
     if cond.kind != GROUND:
         raise DomainError(f"endpoint_q applies to ground-type conditions only, got {cond}")
-    return _root(cond, 0.0, 0.0, 1.0)[0]
+    return _root(cond, 0.0, _residual_at(cond, 0.0), 0.0, 1.0)[0]
 
 
 class CurvePoint(NamedTuple):

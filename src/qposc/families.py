@@ -160,7 +160,7 @@ def _family_ps(fam, qs):
         raise DomainError(f"q={q} outside family domain [{fam.domain_low}, 1]")
     ps = fam.p_of_qs(qs)
     if not _in_unit(ps):
-        ps = list(map(_clamp, ps))
+        ps = [p if 0.0 <= p <= 1.0 else _clamp(p) for p in ps]
         if not _in_unit(ps):
             q, p = next((q, p) for q, p in zip(qs, ps) if not 0.0 <= p <= 1.0)
             raise DomainError(f"{fam.label} leaves the unit interval: f({q}) = {_shown(p)}")
@@ -216,18 +216,20 @@ def validate_family(fam):
     qs = [lo + i * step for i in range(_VALIDATE_GRID - 1)] + [1.0]
     ps = fam.p_of_qs(qs)
 
-    found = []
+    found = []  # (q, reason, values); only the reported ones are formatted
     if abs(_real(ps[-1]) - 1.0) > _BOUNDS_SLACK:
-        found.append((1.0, f"f(1) = {_shown(ps[-1])}, expected 1"))
+        found.append((1.0, "f(1) = {}, expected 1", (ps[-1],)))
     rising = all(map(operator.le, ps, ps[1:]))  # False next to any NaN
     if not (rising and -_BOUNDS_SLACK <= ps[0] and ps[-1] <= 1.0 + _BOUNDS_SLACK):
-        found += [(q, f"f(q) = {_shown(p)} outside [0, 1]") for q, p in zip(qs, ps)
+        found += [(q, "f(q) = {} outside [0, 1]", (p,)) for q, p in zip(qs, ps)
                   if not -_BOUNDS_SLACK <= p <= 1.0 + _BOUNDS_SLACK]  # NaN is outside
     if not rising:
-        found += [(q, f"f decreases: {_shown(a)} -> {_shown(b)}")
+        found += [(q, "f decreases: {} -> {}", (a, b))
                   for q, a, b in zip(qs[1:], ps, ps[1:]) if _real(b) < _real(a) - _BOUNDS_SLACK]
+    shown = [(q, reason.format(*map(_shown, values)))
+             for q, reason, values in found[:FamilyReport._CAP]]
     return FamilyReport(passed=not found, endpoint_value=ps[-1], notes=notes,
-                        violations=found[:FamilyReport._CAP], n_violations=len(found))
+                        violations=shown, n_violations=len(found))
 
 
 def solve_degeneracy_on_family(fam, cond):

@@ -184,17 +184,27 @@ def count_bisections(monkeypatch):
 
 
 def count_residuals(monkeypatch):
-    """Record the p of every residual evaluation, in degeneracy and in
-    families, which imports the name."""
-    raw = qposc.degeneracy._residual_raw
+    """Record the p of every residual evaluation: each _residual_raw call, in
+    degeneracy and in families, which imports the name, and each call of a
+    fixed-q residual that _residual_at returns."""
+    raw, at = qposc.degeneracy._residual_raw, qposc.degeneracy._residual_at
     calls = []
 
     def counting(cond, q, p):
         calls.append(p)
         return raw(cond, q, p)
 
+    def counting_at(cond, q):
+        f = at(cond, q)
+
+        def counted(p):
+            calls.append(p)
+            return f(p)
+        return counted
+
     monkeypatch.setattr("qposc.degeneracy._residual_raw", counting)
     monkeypatch.setattr("qposc.families._residual_raw", counting)
+    monkeypatch.setattr("qposc.degeneracy._residual_at", counting_at)
     return calls
 
 
@@ -555,14 +565,23 @@ TRACE_DIGESTS = {
 # the same digest of implicit_derivative at 401 on-curve points, 40 seeded
 # draws of q per pair in PIN_PAIRS (39 of the 440 lie past a ground curve's q_m)
 SLOPE_DIGEST = "c08fd937072a8795d4b050ee53b6880df3781c771216a7e45bb3f9acc0555820"
+# the same digest of solve_p_for_q at high pairs, where F's integers run to
+# 10^5 bits, over q from the smallest subnormal to 1 and 20 seeded draws
+SOLVE_DIGESTS = {
+    (0, 200): "bb364c3c522365212391968a2b214d0544a75c932ae141ad3d5cf01e4cc8ec77",
+    (150, 151): "5d1366d20ab4dce79aeab25a9e9083ac0fd3dc872612d2520ff9a3c85d785249",
+    (3, 300): "a2bd7c8752abd0dbdabacd7ba12025ccc3b966d2050634f164edd1033297adcb",
+    (100, 500): "85b2a8c0b9c928b416b91ecb9ed32f7ba7c920450b93d416781d4cf165b4f267",
+}
 
 
 def record_evaluations(monkeypatch):
-    """Record every _dyadic and _phi_int call that degeneracy makes, with
-    'solve' and 'solved' around each solve_p_for_q that trace_curve makes."""
+    """Record every _dyadic, _phi_int and _phi_pair call that degeneracy
+    makes, with 'solve' and 'solved' around each solve_p_for_q that
+    trace_curve makes."""
     events = []
     deg = qposc.degeneracy
-    for name in ("_dyadic", "_phi_int"):
+    for name in ("_dyadic", "_phi_int", "_phi_pair"):
         def counting(*args, _real=getattr(deg, name), _name=name):
             events.append(_name)
             return _real(*args)
@@ -602,10 +621,25 @@ class TestOneEvaluationPerPoint:
                 points += 1
         assert (points, digest.hexdigest()) == (401, SLOPE_DIGEST)
 
+    def test_high_pair_solve_bits_are_pinned(self):
+        rng = random.Random(23)
+        qs = [0.0, 5e-324, 1e-300, 1e-20] + [rng.random() for _ in range(20)]
+        qs += [1.0 - 2.0 ** -53, 1.0]
+        digests = {}
+        for pair in SOLVE_DIGESTS:
+            cond, digest = DegeneracyCondition(*pair), hashlib.sha256()
+            for q in qs:
+                p = solve_p_for_q(cond, q)
+                digest.update(f"{q.hex()} {'None' if p is None else p.hex()}\n".encode())
+            digests[pair] = digest.hexdigest()
+        assert digests == SOLVE_DIGESTS
+        assert endpoint_q(DegeneracyCondition(0, 200)).hex() == "0x1.fe3963c90f2abp-1"
+
     @pytest.mark.parametrize("pair", [(0, 2), (1, 2), (10, 37), (39, 40)])
     def test_one_evaluation_after_each_solve(self, monkeypatch, pair):
         # between a solve's return and the next solve, a sample's on-curve
-        # check and slope read one _dyadic and Phi, Phi' at n_q and n_p
+        # check and slope read one _dyadic and one _phi_pair, Phi and Phi',
+        # at each of n_q and n_p
         events = record_evaluations(monkeypatch)
         trace = trace_curve(DegeneracyCondition(*pair), 12)
         assert all(s.q != s.p for s in trace.samples)
@@ -620,17 +654,17 @@ class TestOneEvaluationPerPoint:
                 current[event] += 1
         assert len(after) == 10
         # the last one runs on into the end sample's own evaluation
-        assert after[:-1] == [Counter(_dyadic=1, _phi_int=4)] * 9
+        assert after[:-1] == [Counter(_dyadic=1, _phi_pair=2)] * 9
 
-    @pytest.mark.parametrize("pair, q, p, phi_calls", [
-        ((0, 2), 1.0 / 3.0, 1.0 / 3.0, 2),  # on the diagonal: Phi' and Phi''
-        ((0, 2), 0.3, None, 4), ((10, 37), 0.8, None, 4)])
-    def test_one_evaluation_per_implicit_derivative(self, monkeypatch, pair, q, p, phi_calls):
+    @pytest.mark.parametrize("pair, q, p, phi", [
+        ((0, 2), 1.0 / 3.0, 1.0 / 3.0, "_phi_int"),  # on the diagonal: Phi' and Phi''
+        ((0, 2), 0.3, None, "_phi_pair"), ((10, 37), 0.8, None, "_phi_pair")])
+    def test_one_evaluation_per_implicit_derivative(self, monkeypatch, pair, q, p, phi):
         cond = DegeneracyCondition(*pair)
         point = DeformationPoint(q, solve_p_for_q(cond, q) if p is None else p)
         events = record_evaluations(monkeypatch)
         implicit_derivative(cond, point)
-        assert Counter(events) == Counter(_dyadic=1, _phi_int=phi_calls)
+        assert Counter(events) == Counter({"_dyadic": 1, phi: 2})
 
 
 def mp_gap(m1, m2, q, p):

@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import qposc.families
 from qposc import (CustomFamily, DeformationPoint, DomainError, ExpFamily,
                    FamilyReport, LogFamily, PowerFamily, ReductionFamily, energy_level, family_energy,
                    family_p, intercept_curve, parse_family, profile,
@@ -104,6 +105,16 @@ class TestFamilyMaps:
             except DomainError:
                 continue
             assert abs(fam.p_of_q(fam.domain_low)) < 1e-12, alpha
+
+    def test_only_the_points_outside_the_unit_interval_are_clamped(self, monkeypatch):
+        # log:6.05's f(domain_low) rounds a few ulps below 0, and no other
+        # point of its grid leaves [0, 1]
+        clamped, real = [], qposc.families._clamp
+        monkeypatch.setattr("qposc.families._clamp", lambda p: clamped.append(p) or real(p))
+        curve = intercept_curve(LogFamily(6.05), 10_001)
+        assert len(clamped) == 1 and -1e-15 < clamped[0] < 0.0, clamped
+        q, intercept = curve.samples[0]
+        assert intercept == q - 1.0  # q + (p - 1) at the clamped p = 0
 
     def test_parse_grammar(self):
         fam = parse_family("power:2.5")
@@ -267,6 +278,17 @@ class TestValidation:
         assert (report.passed, report.endpoint_value, report.n_violations) \
             == (False, 10 ** 400, 10_001)
         assert report.violations[0] == (1.0, "f(1) = 1e+400, expected 1")
+
+    def test_only_the_reported_violations_are_formatted(self, monkeypatch):
+        # every grid point of a constant 2 is a violation, and f(1) one more;
+        # the report counts them all and formats the first _CAP
+        shown, real = [], qposc.families._shown
+        monkeypatch.setattr("qposc.families._shown", lambda v: shown.append(v) or real(v))
+        report = validate_family(CustomFamily(lambda q: 2.0, "two"))
+        assert (report.n_violations, len(report.violations)) == (10_001, FamilyReport._CAP)
+        assert report.violations[:2] == [(1.0, "f(1) = 2.0, expected 1"),
+                                          (0.0, "f(q) = 2.0 outside [0, 1]")]
+        assert len(shown) == FamilyReport._CAP
 
     def test_built_in_members_are_reported_without_the_grid(self, monkeypatch):
         members = [PowerFamily(2.5), PowerFamily(0), LogFamily(6.05), LogFamily(0.0014),

@@ -30,6 +30,7 @@ from qposc import (CustomFamily, DeformationPoint, DegeneracyCondition, DomainEr
                    ExpFamily, LogFamily, PowerFamily, endpoint_q, family_energy, family_p,
                    peak_level, residual, solve_degeneracy_on_family, solve_p_for_q,
                    validate_family)
+from qposc.degeneracy import _residual_at, _residual_raw
 from qposc.families import _family_ps
 
 PROPERTY = settings(derandomize=True, max_examples=200, deadline=None)
@@ -199,3 +200,25 @@ def test_the_residual_certifies_the_diagonal_crossing_and_the_curve_ends():
             p = solve_p_for_q(cond, q)
             assert p is None or certified(cond, q, p), (cond, q, p)
             q = math.nextafter(q, 0.0)
+
+
+# F's exact integers across binades: the ends of [0, 1], the smallest
+# subnormal and normal doubles, 1 - 2^-53, and log-uniform draws from 2^-1074
+# to 1, so that p's denominator 2^e is larger than q's in some draws and
+# smaller in others; pairs with m1 = 0, with d = 1, and any pair to m2 = 300
+binades = st.one_of(st.sampled_from([0.0, 5e-324, 2.0 ** -1022, 1.0 - 2.0 ** -53, 1.0]),
+                    st.floats(-1074.0, 0.0).map(lambda k: 2.0 ** k), st.floats(0.0, 1.0))
+exact_pairs = st.one_of(
+    st.integers(1, 300).map(lambda m2: (0, m2)),
+    st.integers(1, 299).map(lambda m1: (m1, m1 + 1)),
+    st.integers(1, 300).flatmap(lambda m2: st.tuples(st.integers(0, m2 - 1), st.just(m2))))
+
+
+@PROPERTY
+@given(pair=exact_pairs, q=binades, p=binades, diagonal=st.booleans())
+def test_the_fixed_q_residual_is_the_residual_bit_for_bit(pair, q, p, diagonal):
+    cond = DegeneracyCondition(*pair)
+    p = q if diagonal else p
+    f = _residual_at(cond, q)
+    assert f(p).hex() == _residual_raw(cond, q, p).hex()
+    assert f(q).hex() == _residual_raw(cond, q, q).hex()
