@@ -16,9 +16,10 @@ l < ln(1/q_k)/745, and there the solver raises DomainError.
 
 validate_family reports a built-in member without evaluating it; one test
 checks that report against the grid report of the same map, over the whole
-positive float range of each parameter.  The last two tests check the curve
-inversion that all of these rest on:
-every p that solve_p_for_q returns is certified by the residual itself.
+positive float range of each parameter.  The last three tests check the
+curve inversion that all of these rest on: every p that solve_p_for_q
+returns is certified by the residual itself, and the fixed-q residual that
+each solve evaluates is that residual bit for bit.
 """
 
 import math
