@@ -31,14 +31,14 @@ dyadic rationals, so the identity gives F exactly as a quotient of Python
 ints, rounded once (_residual_raw): every computed sign of F is its true
 sign, and the root is the one pair of adjacent floats at which that sign
 changes.  A walk from Newton's estimate towards the root, in steps that
-double from one ulp, brackets it (_root); bisect_bracket, which the
-in-family solver of qposc.families uses too, finishes it.  q is fixed for
-a p-solve, so q's half of those integers, phi(q) and phi'(q), is computed
-once per solve (_residual_at), and each evaluation computes p's half
-alone; the evaluation counts are as they were.  At a curve point the
-on-curve check and the slope read F, dF/dq and dF/dp from one set of those
-integers (_residual_partials), with phi and phi' at each point from one
-pair of big powers (_phi_pair).
+double from one ulp, brackets it and bisect_bracket finishes it (_root,
+which the in-family solver of qposc.families calls with its own
+estimate).  q is fixed for a p-solve, so q's half of those integers,
+phi(q) and phi'(q), is computed once per solve (_residual_at), and each
+evaluation computes p's half alone.  At a curve point the on-curve check
+and the slope read F, dF/dq and dF/dp from one set of those integers
+(_residual_partials), with phi and phi' at each point from one pair of
+big powers (_phi_pair).
 """
 
 import math
@@ -193,6 +193,16 @@ def _log_neg_phi(cond, x):
             1.0 / (1.0 + x) + (cond.m1 - d * x ** d / tail) / x)
 
 
+def _log_neg_phi_value(cond, x):
+    """L(x) alone, bit for bit _log_neg_phi's value, on [0, 1] with its
+    limits at the ends: L(0) = 0 for a ground pair (-phi(0) = 1) and -inf
+    otherwise, and L(1) = -inf (phi(1) = 0)."""
+    if not 0.0 < x < 1.0:
+        return 0.0 if x == 0.0 and not cond.m1 else -math.inf
+    lx = math.log(x)
+    return math.log1p(x) + cond.m1 * lx + math.log(-math.expm1((cond.m2 - cond.m1) * lx))
+
+
 def _estimate_p(cond, q, lo, hi):
     """Newton's estimate of the p in [lo, hi] with L(p) = L(q), 0 <= q < 1,
     or None where it cannot start.
@@ -206,7 +216,7 @@ def _estimate_p(cond, q, lo, hi):
     closed-form: 0 for a ground pair (-phi(0) = 1), else -inf, where the
     start rounds to hi = 1.0, the root, as F(0, p) <= 0 on [0, 1).
     """
-    lq = (-math.inf if cond.m1 else 0.0) if q == 0.0 else _log_neg_phi(cond, q)[0]
+    lq = _log_neg_phi_value(cond, q)
     if lo == q:  # [q, 1]: q is on the falling branch of phi
         x, s = 1.0 - math.exp(lq) / (2 * (cond.m2 - cond.m1)), -1.0
     elif cond.m1:
@@ -246,13 +256,14 @@ def bisect_bracket(f, lo, hi):
             lo = mid
 
 
-def _root(cond, q, f, lo, hi):
-    """The p-root of f = F(q, .) on [lo, hi] as two adjacent floats.  F's exact
-    sign at Newton's estimate x says which way the root lies; the walk goes
+def _root(f, x, lo, hi):
+    """The root of f on [lo, hi], where f(lo) <= 0 < f(hi) by the caller's
+    model, as two adjacent floats, from an estimate x (None if there is
+    none).  f's exact sign at x says which way the root lies; the walk goes
     that way in steps doubling from ulp(x) (Bentley and Yao's unbounded
     search) and never evaluates an end.  bisect_bracket finishes it, or
-    bisects the whole bracket if there is no estimate."""
-    x = _estimate_p(cond, q, lo, hi)
+    bisects the whole bracket if there is no estimate.  The p-solves and the
+    in-family solve of qposc.families share this one walk."""
     if x is not None:
         w = math.ulp(x)
         while lo <= x <= hi:
@@ -293,7 +304,7 @@ def solve_p_for_q(cond, q) -> Optional[float]:
         if f0 >= 0.0:  # past q_m, or F(q, 0) == 0 at q = q_m or q = 1
             return None if f0 > 0.0 else 0.0
         lo, hi = 0.0, q
-    lo, hi = _root(cond, q, f, lo, hi)
+    lo, hi = _root(f, _estimate_p(cond, q, lo, hi), lo, hi)
     return 0.5 * (lo + hi)
 
 
@@ -352,7 +363,7 @@ def endpoint_q(cond):
     """
     if cond.kind != GROUND:
         raise DomainError(f"endpoint_q applies to ground-type conditions only, got {cond}")
-    return _root(cond, 0.0, _residual_at(cond, 0.0), 0.0, 1.0)[0]
+    return _root(_residual_at(cond, 0.0), _estimate_p(cond, 0.0, 0.0, 1.0), 0.0, 1.0)[0]
 
 
 class CurvePoint(NamedTuple):

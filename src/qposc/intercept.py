@@ -43,7 +43,8 @@ def intercept_curve(fam, n_samples):
     """Sample the intercept on a uniform q-grid over the family domain, in
     one pass: asymptotic_intercept(fam, q) bit for bit, or its first error."""
     last = to_index(n_samples, "need at least 2 samples, below sys.maxsize", low=2) - 1
-    lo = fam.domain_low
+    lo, end = fam.domain_low, float(last)
     span = 1.0 - lo
-    qs = [lo + span * i / last for i in range(last)] + [1.0]
+    # float indices: int operands convert to the same doubles, at a lower cost
+    qs = [lo + span * x / end for x in map(float, range(last))] + [1.0]
     return InterceptCurve(fam, tuple(zip(qs, _intercepts(fam, qs))), _is_extrapolated(fam))

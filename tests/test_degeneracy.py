@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import qposc.degeneracy
 from qposc import (ConsistencyError, CurveTrace, DeformationPoint,
                    DegeneracyCondition, DomainError, PowerFamily, endpoint_q,
-                   energy_level, implicit_derivative, residual,
+                   energy_level, implicit_derivative, parse_family, residual,
                    solve_degeneracy_on_family, solve_p_for_q, trace_curve)
 from qposc.degeneracy import _residual_partials, _residual_raw, bisect_bracket
 
@@ -771,3 +771,31 @@ class TestRootHelpers:
 
         assert bisect_bracket(f, 0.0, 1.0) == (0.5, math.nextafter(0.5, 1.0))
         assert 0.0 not in calls and 1.0 not in calls  # the ends are not evaluated
+
+
+class TestInFamilyEvaluations:
+    """Exact residual evaluations per in-family solve, counted with
+    count_residuals: the admission test's p-solve at domain_low, then g.
+    Bisecting g over the whole bracket took 56 evaluations on the grid and
+    449 for log:0.0014 (0, 2)."""
+
+    GRID = [(family, (m, m + 1)) for family in ("exp:0.5", "power:2.5", "log:0.3")
+            for m in (10, 80, 300, 1000, 3000)]
+
+    def test_median_of_at_most_six_evaluations_on_the_grid(self, monkeypatch):
+        calls = count_residuals(monkeypatch)
+        counts = []
+        for family, pair in self.GRID:
+            calls.clear()
+            assert solve_degeneracy_on_family(parse_family(family),
+                                              DegeneracyCondition(*pair)) is not None
+            counts.append(len(calls))
+        assert statistics.median(counts) <= 6, counts
+
+    def test_a_crossing_near_zero_takes_at_most_twenty_evaluations(self, monkeypatch):
+        # log:0.0014 starts at exp(-1/0.0014), about 1e-310, and meets the
+        # (0, 2) curve near q = 1e-119
+        calls = count_residuals(monkeypatch)
+        q_star = solve_degeneracy_on_family(parse_family("log:0.0014"), DegeneracyCondition(0, 2))
+        assert 1e-120 < q_star < 1e-118
+        assert len(calls) <= 20, len(calls)

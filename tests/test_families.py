@@ -399,6 +399,15 @@ class TestDegeneracySolve:
         q_star = solve_degeneracy_on_family(PowerFamily(1), Cond(1, 2))
         assert q_star == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-12)
 
+    @pytest.mark.parametrize("m", [1, 2, 5, 20, 60])
+    def test_diagonal_neighbor_roots_are_the_closed_form(self, m):
+        # p = q makes g = F(q, q) = phi'(q), where the float surrogate is
+        # 0/0; E_m = E_{m+1} there at q = sqrt(m / (m + 2))
+        q_star = solve_degeneracy_on_family(PowerFamily(1), Cond(m, m + 1))
+        with mpmath.workdps(50):
+            want = mpmath.sqrt(mpmath.mpf(m) / (m + 2))
+            assert abs(q_star - want) <= math.ulp(float(want)), (q_star, want)
+
     def test_non_admitting_members(self):
         assert solve_degeneracy_on_family(LogFamily(6.05), Cond(0, 2)) is None
         assert solve_degeneracy_on_family(ExpFamily(0.1653), Cond(0, 2)) is None

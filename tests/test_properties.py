@@ -16,7 +16,10 @@ l < ln(1/q_k)/745, and there the solver raises DomainError.
 
 validate_family reports a built-in member without evaluating it; one test
 checks that report against the grid report of the same map, over the whole
-positive float range of each parameter.  The last three tests check the
+positive float range of each parameter.  Each in-family root is a sign
+change of the exact g(q) = F(q, f(q)), the one that bisecting g over the
+whole bracket finds wherever that sign change is unique, and the intercept
+grid is the grid of integer indices bit for bit.  The last three tests check the
 curve inversion that all of these rest on: every p that solve_p_for_q
 returns is certified by the residual itself, and the fixed-q residual that
 each solve evaluates is that residual bit for bit.
@@ -29,9 +32,9 @@ from hypothesis import strategies as st
 
 from qposc import (CustomFamily, DeformationPoint, DegeneracyCondition, DomainError,
                    ExpFamily, LogFamily, PowerFamily, endpoint_q, family_energy, family_p,
-                   peak_level, residual, solve_degeneracy_on_family, solve_p_for_q,
-                   validate_family)
-from qposc.degeneracy import _residual_at, _residual_raw
+                   intercept_curve, peak_level, residual, solve_degeneracy_on_family,
+                   solve_p_for_q, validate_family)
+from qposc.degeneracy import _residual_at, _residual_raw, bisect_bracket
 from qposc.families import _family_ps
 
 PROPERTY = settings(derandomize=True, max_examples=200, deadline=None)
@@ -99,6 +102,56 @@ def test_spectrum_peaks_at_the_degenerate_pair(fam, m):
     # E_m = E_{m+1} at q(m) puts the maximum of E_n on one of the two levels
     q_star = solve_degeneracy_on_family(fam, DegeneracyCondition(m, m + 1))
     assert peak_level(fam, q_star) in (m, m + 1), q_star
+
+
+def family_sign(fam, cond, q):
+    """Whether g(q) = F(q, f(q)) > 0, as the in-family solver reads it: the
+    ends take the model's signs, g(domain_low) < 0 < g(1), and every other
+    q the exact sign of F."""
+    if q in (fam.domain_low, 1.0):
+        return q == 1.0
+    return _residual_raw(cond, q, family_p(fam, q)) > 0.0
+
+
+level_pairs = st.integers(2, 60).flatmap(lambda m2: st.tuples(st.integers(0, m2 - 1), st.just(m2)))
+
+
+@PROPERTY
+@given(fam=members, pair=level_pairs)
+def test_the_in_family_root_is_a_sign_change_of_g(fam, pair):
+    cond = DegeneracyCondition(*pair)
+    try:
+        q_star = solve_degeneracy_on_family(fam, cond)
+    except DomainError as exc:
+        assert "below the smallest positive double" in str(exc)
+        return
+    if q_star is None:
+        return
+    # q_star is the midpoint of two adjacent floats, which rounds to one of them
+    if family_sign(fam, cond, q_star):
+        lo, hi = math.nextafter(q_star, 0.0), q_star
+    else:
+        lo, hi = q_star, math.nextafter(q_star, 1.0)
+    assert not family_sign(fam, cond, lo) and family_sign(fam, cond, hi), (lo, hi)
+    # the whole-bracket bisection ends on a sign change too; where the two
+    # differ, g changes sign more than once, since one pair lies wholly below
+    # the other: its positive end comes before the other's non-positive end
+    a, b = bisect_bracket(lambda q: family_sign(fam, cond, q) - 0.5, fam.domain_low, 1.0)
+    if (a, b) != (lo, hi):
+        below, above = sorted([(a, b), (lo, hi)])
+        assert below[1] < above[0], (below, above)
+        assert family_sign(fam, cond, below[1]) and not family_sign(fam, cond, above[0])
+
+
+@PROPERTY
+@given(fam=st.one_of(members, st.floats(0.0, 1.0, exclude_max=True).map(
+           lambda low: CustomFamily(lambda q: 1.0, "one", domain_low=low))),
+       n=st.integers(2, 20_000))
+def test_the_intercept_grid_is_the_integer_index_grid_bit_for_bit(fam, n):
+    lo, last = fam.domain_low, n - 1
+    span = 1.0 - lo
+    qs = [lo + span * i / last for i in range(last)] + [1.0]
+    assert [q.hex() for q, _ in intercept_curve(fam, n).samples] == [q.hex() for q in qs]
 
 
 # the maps as the families module docstring states them
