@@ -242,17 +242,13 @@ def validate_family(fam):
 
 
 def _estimate_q(fam, cond, lo):
-    """An estimate of the sign change of g(q) = F(q, f(q)) on [lo, 1] from
-    floats alone: a safeguarded Illinois method on the surrogate
-
-        G(q) = (L(f(q)) - L(q)) / (q - f(q)),   -L'(q) where f(q) == q,
-
-    which has g's sign (see qposc.degeneracy) and costs O(1) for every pair.
-    The ends are not evaluated: G(lo) < 0 < G(1) by the admission test, so
-    the first step halves [lo, 1].  A step that leaves the bracket (an end's
-    value is infinite) or follows one that failed to halve it takes the
-    midpoint instead, the geometric one where the bracket spans more than a
-    factor of 16, so a root near 0 is reached in few steps."""
+    """The float estimate of g's sign change on [lo, 1]: Illinois on the
+    surrogate G of the module docstring, -L'(q) where f(q) == q.  The ends
+    are not evaluated: g(lo) < 0 by the admission test and g(1) > 0.  A
+    step that leaves the bracket, as when an end's value is infinite, or
+    that follows three steps that did not halve it, takes the midpoint
+    instead: the arithmetic one while b is 1 or at most 16 a, else the
+    geometric one, so that a root near 0 takes few steps."""
     def surrogate(q):
         p = family_p(fam, q)
         if p == q:  # F(q, q) = phi'(q) = -L'(q) exp(L(q))
@@ -298,12 +294,11 @@ def solve_degeneracy_on_family(fam, cond):
     at q = domain_low (solve_p_for_q) and f(domain_low) lies below it.  By
     (q - p) F(q, p) = phi(q) - phi(p), F(q, .) is negative below the
     curve's p and positive above it, so g(q) = F(q, f(q)) then rises
-    through zero once on [domain_low, 1] (g(1) = 2 (m2 - m1) > 0).  The
-    root is found as a p-root is: a float estimate (_estimate_q), then
-    g's exact sign walks from it to a sign change and bisection finishes
-    the bracket (degeneracy._root), in a few exact evaluations of g.  A
-    crossing below the smallest positive double, where the bracket keeps
-    its lower end 0.0, raises DomainError.
+    through zero once on [domain_low, 1] (g(1) = 2 (m2 - m1) > 0).  Floats
+    estimate the crossing (_estimate_q) and g's exact sign certifies it
+    (degeneracy._root), as the module docstring says.  A crossing below
+    the smallest positive double, where the bracket keeps its lower end
+    0.0, raises DomainError.
     """
     lo = fam.domain_low
     p_curve = solve_p_for_q(cond, lo)
