@@ -31,7 +31,7 @@ from .errors import DomainError, Record, to_float, to_index
 
 # Exported for compatibility (qposc.__all__); no code path reads it.
 EPS_EQUAL = 1e-9
-# each index is below islice's bound, so energy_spectrum's n + 1 meets it too
+# each index is below islice's bound, which energy_level and qp_bracket_int meet
 _LEVEL_RULE = f"level index must be a non-negative integer below sys.maxsize = {sys.maxsize}"
 _DIM_RULE = f"representation dimension must be an integer in [2, sys.maxsize = {sys.maxsize})"
 
@@ -54,7 +54,8 @@ class DeformationPoint(Record):
 
 def _bracket_iter(q, p):
     """Yield [[0]], [[1]], ... by the recurrence, run with q >= p (p^0 == 1):
-    every integer bracket is read from here."""
+    qp_bracket_int, energy_iter and _superdiagonal read their brackets from
+    here; energy_spectrum runs the same recurrence inline."""
     if q < p:
         q, p = p, q
     bracket, p_pow = 0.0, 1.0
@@ -110,9 +111,19 @@ def energy_level(n, point):
 
 
 def energy_spectrum(n_max, point):
-    """[E_0, ..., E_n_max] in O(n_max): the first values of energy_iter."""
+    """[E_0, ..., E_n_max] in O(n_max): _bracket_iter's recurrence run inline
+    in one loop, the same float operations in the same order, so the values
+    are bit for bit the first n_max + 1 of energy_iter."""
     n_max = to_index(n_max, _LEVEL_RULE)
-    return list(islice(energy_iter(point), n_max + 1))
+    q, p = point.q, point.p
+    if q < p:
+        q, p = p, q
+    energies, lower, p_pow = [], 0.0, 1.0
+    for _ in range(n_max + 1):
+        upper = q * lower + p_pow
+        energies.append(0.5 * (upper + lower))
+        lower, p_pow = upper, p_pow * p
+    return energies
 
 
 def energy_iter(point):
@@ -144,10 +155,19 @@ def _ladder_residuals(s, q, p):
     """Max residuals of the two ladder relations on the first dim-1 columns,
     from the superdiagonal s of A: both relations are diagonal there, with
     A A+ = diag(s^2) and A+ A = diag(0, s^2 without its last entry)."""
-    aad = [x * x for x in s]
-    ada = [0.0, *aad[:-1]]
-    r1 = max(abs(aa - q * ad - p ** n) for n, (aa, ad) in enumerate(zip(aad, ada)))
-    r2 = max(abs(aa - p * ad - q ** n) for n, (aa, ad) in enumerate(zip(aad, ada)))
+    # both maxima start at the n = 0 residual, abs(s[0]^2 - 1), as max would:
+    # a NaN there is kept, a later one is passed over
+    r1 = r2 = abs(s[0] * s[0] - 1.0)
+    ad = 0.0
+    for n, x in enumerate(s):
+        aa = x * x
+        e1 = abs(aa - q * ad - p ** n)
+        e2 = abs(aa - p * ad - q ** n)
+        if e1 > r1:
+            r1 = e1
+        if e2 > r2:
+            r2 = e2
+        ad = aa
     return r1, r2
 
 

@@ -101,6 +101,9 @@ SUBCOMMAND_MODULES = {
                        "qposc.spectrum"},
     "intercept": CLI | {"qposc.core", "qposc.degeneracy", "qposc.families",
                         "qposc.intercept"},
+    "spectrum_peak": CLI | {"qposc.core", "qposc.degeneracy", "qposc.families",
+                            "qposc.spectrum"},
+    "fock_large": CLI | {"qposc.core"},
 }
 
 
