@@ -154,11 +154,11 @@ def _superdiagonal(dim, point):
 def _ladder_residuals(s, q, p):
     """Max residuals of the two ladder relations on the first dim-1 columns,
     from the superdiagonal s of A: both relations are diagonal there, with
-    A A+ = diag(s^2) and A+ A = diag(0, s^2 without its last entry)."""
-    # both maxima start at the n = 0 residual, abs(s[0]^2 - 1), as max would:
-    # a NaN there is kept, a later one is passed over
-    r1 = r2 = abs(s[0] * s[0] - 1.0)
-    ad = 0.0
+    A A+ = diag(s^2) and A+ A = diag(0, s^2 without its last entry).
+    Running maxima from 0.0 give max's values: every residual is >= 0, and
+    a NaN in s, which max would keep as its first item, is a stray entry
+    to fock_residuals and never comes from _superdiagonal."""
+    r1 = r2 = ad = 0.0
     for n, x in enumerate(s):
         aa = x * x
         e1 = abs(aa - q * ad - p ** n)

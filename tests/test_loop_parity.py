@@ -5,11 +5,13 @@ import math
 import random
 from itertools import islice
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qposc import (DeformationPoint, ExpFamily, LogFamily, PowerFamily,
-                   energy_iter, energy_spectrum, family_p, profile)
+from qposc import (DeformationPoint, DomainError, ExpFamily, FockRep, LogFamily,
+                   PowerFamily, energy_iter, energy_spectrum, family_p, fock_rep,
+                   fock_residuals, profile)
 from qposc.core import _ladder_residuals, _superdiagonal
 
 
@@ -61,14 +63,24 @@ class TestLadderResiduals:
                 assert (hexes(_ladder_residuals(s[:dim - 1], q, p))
                         == hexes(iterator_ladder_residuals(s[:dim - 1], q, p))), (q, p, dim)
 
-    def test_non_finite_entries_match_the_iterator_formula(self):
-        # a hand-built FockRep can carry them: max keeps a NaN only as its first item
+    def test_infinite_entries_match_the_iterator_formula(self):
+        # a hand-built FockRep can carry them past fock_residuals' stray check
         s = _superdiagonal(8, DeformationPoint(0.5, 0.25))
         for at in range(len(s)):
-            for bad in (math.nan, math.inf, -math.inf):
+            for bad in (math.inf, -math.inf):
                 t = s[:at] + [bad] + s[at + 1:]
                 assert (hexes(_ladder_residuals(t, 0.5, 0.25))
                         == hexes(iterator_ladder_residuals(t, 0.5, 0.25))), (at, bad)
+
+    def test_a_nan_on_the_superdiagonal_is_a_stray_entry(self):
+        # so no NaN reaches _ladder_residuals, whose maxima start at 0.0
+        pt = DeformationPoint(0.5, 0.25)
+        rep = fock_rep(6, pt)
+        for at in range(5):
+            a = rep.a_matrix.copy()
+            a[at, at + 1] = math.nan
+            with pytest.raises(DomainError, match="stray"):
+                fock_residuals(FockRep(6, a, a.T.copy(), rep.n_matrix), pt)
 
 
 class TestProfileViolations:
@@ -90,7 +102,8 @@ class TestProfileViolations:
     def test_seeded_members_match_the_scan(self):
         rng = random.Random(2025)
         for _ in range(200):
-            fam = rng.choice([PowerFamily(rng.uniform(0.0, 4.0)), ExpFamily(rng.uniform(0.05, 3.0)),
+            fam = rng.choice([PowerFamily(rng.uniform(0.0, 4.0)),
+                              ExpFamily(rng.uniform(0.05, 3.0)),
                               LogFamily(rng.uniform(0.5, 3.0))])
             q = rng.uniform(max(fam.domain_low, 0.0), 0.999)
             self.check(fam, q, rng.randrange(2, 800))
