@@ -31,7 +31,7 @@ from .errors import DomainError, Record, to_float, to_index
 
 # Exported for compatibility (qposc.__all__); no code path reads it.
 EPS_EQUAL = 1e-9
-# each index is below islice's bound, which energy_level and qp_bracket_int meet
+# below islice's bound: energy_level and qp_bracket_int pass the index to islice
 _LEVEL_RULE = f"level index must be a non-negative integer below sys.maxsize = {sys.maxsize}"
 _DIM_RULE = f"representation dimension must be an integer in [2, sys.maxsize = {sys.maxsize})"
 
