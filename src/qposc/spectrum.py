@@ -7,6 +7,7 @@ peak moves right as q grows toward the equally-spaced q = 1 limit.
 
 import math
 import operator
+from itertools import compress
 
 from .core import DeformationPoint, energy_spectrum
 from .errors import DomainError, Record, to_float, to_index
@@ -34,11 +35,9 @@ def profile(fam, q, n_max=200):
     point = DeformationPoint(q, family_p(fam, q))
     energies = energy_spectrum(n_max, point)
     peak = energies.index(max(energies))  # the first maximum
-    # one C-level pass for the usual strict decay; a NaN fails it too, and
-    # the scan then decides
-    violations = (() if all(map(operator.gt, energies[peak:n_max], energies[peak + 1:]))
-                  else tuple(n + 1 for n in range(peak, n_max)
-                             if energies[n + 1] >= energies[n]))
+    # post-peak n with E_n >= E_{n-1}, in one C-level pass; a NaN compares False
+    violations = tuple(compress(range(peak + 1, n_max + 1),
+                                map(operator.ge, energies[peak + 1:], energies[peak:n_max])))
     return SpectrumProfile(fam, q, tuple(energies), peak, energies[n_max], violations)
 
 

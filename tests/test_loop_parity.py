@@ -29,7 +29,7 @@ def iterator_ladder_residuals(s, q, p):
 
 
 def scan_violations(energies, peak, n_max):
-    # the post-peak scan that profile runs only where a C-level pass fails
+    # the post-peak generator scan that profile's compress pass replaced
     return tuple(n + 1 for n in range(peak, n_max) if energies[n + 1] >= energies[n])
 
 
@@ -96,8 +96,10 @@ class TestProfileViolations:
         for q in (0.0, 0.5, 0.9):
             assert self.check(PowerFamily(0), q, 800).decay_violations
 
-    def test_peak_at_the_end_has_no_scan(self):
-        assert self.check(PowerFamily(2.5), 0.97, 10).decay_violations == ()
+    def test_peak_at_the_end_has_no_violations(self):
+        # at n_max = 10 the peak is the last level, so both compared slices are empty
+        prof = self.check(PowerFamily(2.5), 0.97, 10)
+        assert (prof.peak_index, prof.decay_violations) == (10, ())
 
     def test_seeded_members_match_the_scan(self):
         rng = random.Random(2025)
