@@ -28,17 +28,15 @@ Off the diagonal the curve is L(p) = L(q), and
 sign F(q, p) = sign((L(p) - L(q)) / (q - p)).  Every p-root, endpoint_q's
 too, is estimated by Newton on L, and F has the last word.  Floats are
 dyadic rationals, so the identity gives F exactly as a quotient of Python
-ints, rounded once (_residual_raw): every computed sign of F is its true
-sign, and the root is the one pair of adjacent floats at which that sign
-changes.  A walk from Newton's estimate towards the root, in steps that
-double from one ulp, brackets it and bisect_bracket finishes it (_root,
-which the in-family solver of qposc.families calls with its own
-estimate).  q is fixed for a p-solve, so q's half of those integers,
-phi(q) and phi'(q), is computed once per solve (_residual_at), and each
-evaluation computes p's half alone.  At a curve point the on-curve check
-and the slope read F, dF/dq and dF/dp from one set of those integers
-(_residual_partials), with phi and phi' at each point from one pair of
-big powers (_phi_pair).
+ints, rounded once: every computed sign of F is its true sign, and the
+root is the one pair of adjacent floats at which that sign changes.  A
+walk from Newton's estimate towards the root, in steps that double from
+one ulp, brackets it and bisect_bracket finishes it (_root, which the
+in-family solver of qposc.families calls with its own estimate).  Every
+evaluation of F goes through one fixed-q state, _FixedQ: it computes q's
+half of those integers, phi(q) and phi'(q), once, from one pair of big
+powers (_phi_pair), and each F(q, p) computes p's half alone.  Its
+partials give a curve point's on-curve check and slope.
 """
 
 import math
@@ -80,17 +78,6 @@ class DegeneracyCondition(Record):
         return GENERAL
 
 
-def _dyadic(q, p):
-    """(n_q, n_p, e): q = n_q / 2^e and p = n_p / 2^e exactly, as every
-    float is a dyadic rational."""
-    (a, b), (c, f) = q.as_integer_ratio(), p.as_integer_ratio()
-    if b < f:
-        a *= f // b
-    else:
-        c *= b // f
-    return a, c, max(b, f).bit_length() - 1
-
-
 def _phi_int(cond, n, e, j=0):
     """The j-th derivative of the integer polynomial
     Phi(n) = phi(x) 2^(e (m2 + 1)) at x = n / 2^e, so that
@@ -113,17 +100,6 @@ def _phi_int(cond, n, e, j=0):
                       - (perm(m1 + 1, j) * n + perm(m1, j) * unit) * unit_d) // n ** j
 
 
-def _residual_raw(cond, q, p):
-    """F(q, p) correctly rounded: the exact quotient N / 2^(e m2) of Python
-    ints (CPython's int / int rounds correctly), so its sign is F's own
-    unless |F| <= 2^-1075 rounds to 0.0.  N = F(q, p) 2^(e m2) is
-    (Phi(n_q) - Phi(n_p)) / (n_q - n_p) off the diagonal, Phi'(n) on it."""
-    nq, np_, e = _dyadic(q, p)
-    if nq == np_:
-        return _phi_int(cond, nq, e, 1) / (1 << e * cond.m2)
-    return (_phi_int(cond, nq, e) - _phi_int(cond, np_, e)) // (nq - np_) / (1 << e * cond.m2)
-
-
 def _phi_pair(cond, n, e):
     """(Phi(n), Phi'(n)) from one pair of big powers and no division:
 
@@ -140,48 +116,59 @@ def _phi_pair(cond, n, e):
     return (unit + n) * (high * n - unit_d), high * ((m2 + 1) * n + m2 * unit) - unit_d
 
 
-def _residual_at(cond, q):
-    """f(p) = _residual_raw(cond, q, p), bit for bit, with q's half computed
-    once: Phi(n_q) and Phi'(n_q) at q's own denominator 2^e_q.  Phi^(j) is
-    homogeneous of degree m2 + 1 - j in (n, 2^e), so a p with a larger
-    denominator shifts them left, and one with a smaller shifts n_p; each
-    evaluation then computes Phi(n_p) alone."""
-    nq, den = q.as_integer_ratio()
-    eq, m2 = den.bit_length() - 1, cond.m2
-    phi_q, dphi_q = _phi_pair(cond, nq, eq)
+class _FixedQ:
+    """F(q, .) for one q, correctly rounded, from the one set of F's exact
+    integers: Phi(n_q) and Phi'(n_q) at q's own denominator 2^e_q, computed
+    once.  At p, N = F(q, p) 2^(e m2) is (Phi(n_q) - Phi(n_p)) / (n_q - n_p)
+    off the diagonal and Phi'(n) on it, over the common denominator 2^e;
+    CPython's int / int rounds N / 2^(e m2) correctly, so its sign is F's
+    own unless |F| <= 2^-1075 rounds to 0.0."""
 
-    def f(p):
+    __slots__ = ("cond", "nq", "eq", "phi", "dphi")
+
+    def __init__(self, cond, q):
+        self.cond = cond
+        self.nq, den = q.as_integer_ratio()
+        self.eq = den.bit_length() - 1
+        self.phi, self.dphi = _phi_pair(cond, self.nq, self.eq)
+
+    def _align(self, p):
+        """(n_q, Phi(n_q), Phi'(n_q), n_p, e) over the common denominator 2^e.
+        Phi^(j) is homogeneous of degree m2 + 1 - j in (n, 2^e), so a p with
+        a larger denominator shifts q's half left, and one with a smaller
+        shifts n_p."""
         np_, den = p.as_integer_ratio()
-        e = den.bit_length() - 1
-        if e <= eq:  # to q's denominator: shift n_p
-            np_, e, n, phi, dphi = np_ << eq - e, eq, nq, phi_q, dphi_q
-        else:  # to p's: shift n_q, Phi(n_q) and Phi'(n_q) by their degrees
-            s = e - eq
-            n, phi, dphi = nq << s, phi_q << s * (m2 + 1), dphi_q << s * m2
-        if n == np_:
-            return dphi / (1 << e * m2)
-        return (phi - _phi_int(cond, np_, e)) // (n - np_) / (1 << e * m2)
-    return f
+        e, eq = den.bit_length() - 1, self.eq
+        if e <= eq:
+            return self.nq, self.phi, self.dphi, np_ << eq - e, eq
+        s, m2 = e - eq, self.cond.m2
+        return self.nq << s, self.phi << s * (m2 + 1), self.dphi << s * m2, np_, e
 
+    def __call__(self, p):
+        """F(q, p); each evaluation computes Phi(n_p) alone."""
+        nq, phi, dphi, np_, e = self._align(p)
+        if nq == np_:
+            return dphi / (1 << e * self.cond.m2)
+        return (phi - _phi_int(self.cond, np_, e)) // (nq - np_) / (1 << e * self.cond.m2)
 
-def _residual_partials(cond, q, p):
-    """(F, dF/dq, dF/dp) correctly rounded, from one _dyadic and Phi, Phi' at
-    n_q and n_p (two _phi_pair calls): off the diagonal
-    dF/dq = (phi'(q) - F) / (q - p) and dF/dp is its mirror (F is
-    symmetric), on it F = phi'(x) and both are phi''(x) / 2."""
-    nq, np_, e = _dyadic(q, p)
-    if nq == np_:
-        d = _phi_int(cond, nq, e, 2) / (2 << e * (cond.m2 - 1))
-        return _phi_int(cond, nq, e, 1) / (1 << e * cond.m2), d, d
-    (phi_q, dphi_q), (phi_p, dphi_p) = _phi_pair(cond, nq, e), _phi_pair(cond, np_, e)
-    n = (phi_q - phi_p) // (nq - np_)
-    den = (nq - np_) << e * (cond.m2 - 1)
-    return n / (1 << e * cond.m2), (dphi_q - n) / den, (dphi_p - n) / -den
+    def partials(self, p):
+        """(F, dF/dq, dF/dp) at p, from Phi and Phi' at n_p (_phi_pair): off
+        the diagonal dF/dq = (phi'(q) - F) / (q - p) and dF/dp is its mirror
+        (F is symmetric), on it F = phi'(x) and both are phi''(x) / 2."""
+        nq, phi_q, dphi_q, np_, e = self._align(p)
+        cond, m2 = self.cond, self.cond.m2
+        if nq == np_:
+            d = _phi_int(cond, nq, e, 2) / (2 << e * (m2 - 1))
+            return dphi_q / (1 << e * m2), d, d
+        phi_p, dphi_p = _phi_pair(cond, np_, e)
+        n = (phi_q - phi_p) // (nq - np_)
+        den = (nq - np_) << e * (m2 - 1)
+        return n / (1 << e * m2), (dphi_q - n) / den, (dphi_p - n) / -den
 
 
 def residual(cond, point):
     """Degeneracy residual at the given point; zero iff E_{m1} == E_{m2}."""
-    return _residual_raw(cond, point.q, point.p)
+    return _FixedQ(cond, point.q)(point.p)
 
 
 def _log_neg_phi(cond, x):
@@ -296,7 +283,7 @@ def solve_p_for_q(cond, q) -> Optional[float]:
     if (cond.m1, cond.m2) == (0, 1):
         return None  # E_1 - E_0 = (q + p)/2 > 0 on the whole admissible square
 
-    f = _residual_at(cond, q)
+    f = _FixedQ(cond, q)
     if f(q) <= 0.0:
         lo, hi = q, 1.0
     else:
@@ -343,7 +330,7 @@ def implicit_derivative(cond, point):
     underflow to 0 together with F, as at q = 0 with p tiny.
     """
     q, p = point.q, point.p
-    r, dq, dp = _residual_partials(cond, q, p)
+    r, dq, dp = _FixedQ(cond, q).partials(p)
     if not (abs(r) < _ON_CURVE_TOL and abs(r) <= _ON_CURVE_TOL * _monomial_scale(cond, q, p)):
         raise DomainError(f"point ({q}, {p}) is not on the {cond} curve "
                           f"(|residual| = {abs(r):.3g})")
@@ -363,7 +350,7 @@ def endpoint_q(cond):
     """
     if cond.kind != GROUND:
         raise DomainError(f"endpoint_q applies to ground-type conditions only, got {cond}")
-    return _root(_residual_at(cond, 0.0), _estimate_p(cond, 0.0, 0.0, 1.0), 0.0, 1.0)[0]
+    return _root(_FixedQ(cond, 0.0), _estimate_p(cond, 0.0, 0.0, 1.0), 0.0, 1.0)[0]
 
 
 class CurvePoint(NamedTuple):
@@ -403,11 +390,12 @@ def trace_curve(cond, n_samples):
             qv, pv = q_hi, 0.0
         else:
             pv = solve_p_for_q(cond, qv)
-            if pv is None:
-                raise ConsistencyError(
-                    f"curve for {cond} lost at q={qv}: F(q, p) > 0 at both ends of "
-                    f"[0, q], F(q, 0) = {_residual_raw(cond, qv, 0.0):.3g}")
-        r, dq, dp = _residual_partials(cond, qv, pv)
+        f = _FixedQ(cond, qv)
+        if pv is None:
+            raise ConsistencyError(
+                f"curve for {cond} lost at q={qv}: F(q, p) > 0 at both ends of "
+                f"[0, q], F(q, 0) = {f(0.0):.3g}")
+        r, dq, dp = f.partials(pv)
         if abs(r) >= _ON_CURVE_TOL:
             raise ConsistencyError(f"sample ({qv}, {pv}) off the {cond} curve: "
                                    f"|F| = {abs(r):.3g} >= {_ON_CURVE_TOL:.0e}")

@@ -29,7 +29,7 @@ import math
 import operator
 
 from .core import DeformationPoint, energy_level
-from .degeneracy import _log_neg_phi, _log_neg_phi_value, _residual_raw, _root, solve_p_for_q
+from .degeneracy import _FixedQ, _log_neg_phi, _log_neg_phi_value, _root, solve_p_for_q
 from .errors import DomainError, Record, _shown, to_float
 
 # grid size fixed by the admissibility contract
@@ -67,7 +67,8 @@ def _parameter(value, name, allow_zero=False):
     """to_float(value), which must be finite and > 0 (>= 0 with allow_zero)."""
     value = to_float(value, name)
     if not (math.isfinite(value) and (value > 0.0 or allow_zero and value == 0.0)):
-        raise DomainError(f"{name} must be {'>=' if allow_zero else '>'} 0, got {value}")
+        rule = "finite" if value == math.inf else f"{'>=' if allow_zero else '>'} 0"
+        raise DomainError(f"{name} must be {rule}, got {value}")
     return value
 
 
@@ -304,7 +305,7 @@ def solve_degeneracy_on_family(fam, cond):
     p_curve = solve_p_for_q(cond, lo)
     if p_curve is None or not family_p(fam, lo) < p_curve:
         return None
-    a, b = _root(lambda q: _residual_raw(cond, q, family_p(fam, q)),
+    a, b = _root(lambda q: _FixedQ(cond, q)(family_p(fam, q)),
                  _estimate_q(fam, cond, lo), lo, 1.0)
     if a == 0.0:
         raise DomainError(f"{fam.label} crosses the {cond} curve below the "

@@ -120,6 +120,11 @@ class TestSolveCommand:
         code, _, err = run_cli(capsys, "solve", "--levels", "0,2", "--family", "log:-1")
         assert code == 2
 
+    def test_infinite_family_parameter_is_named_not_finite(self, capsys):
+        code, out, err = run_cli(capsys, "solve", "--levels", "0,2", "--family", "power:1e400")
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and err.endswith("power exponent must be finite, got inf\n")
+
     def test_underflowing_log_edge_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--levels", "0,2", "--family", "log:0.001")
         assert code == 2

@@ -197,14 +197,14 @@ class TestPinnedMessages:
     @pytest.mark.parametrize("maker, value, text", [
         (PowerFamily, -1, "power exponent must be >= 0, got -1.0"),
         (PowerFamily, math.nan, "power exponent must be >= 0, got nan"),
-        (PowerFamily, math.inf, "power exponent must be >= 0, got inf"),
+        (PowerFamily, math.inf, "power exponent must be finite, got inf"),
         (PowerFamily, -math.inf, "power exponent must be >= 0, got -inf"),
         (LogFamily, -1, "log coefficient must be > 0, got -1.0"),
         (LogFamily, 0, "log coefficient must be > 0, got 0.0"),
         (LogFamily, -0.0, "log coefficient must be > 0, got -0.0"),
         (LogFamily, 1e-400, "log coefficient must be > 0, got 0.0"),
         (LogFamily, math.nan, "log coefficient must be > 0, got nan"),
-        (LogFamily, math.inf, "log coefficient must be > 0, got inf"),
+        (LogFamily, math.inf, "log coefficient must be finite, got inf"),
         (ExpFamily, -1, "exp coefficient must be > 0, got -1.0"),
         (ExpFamily, 0, "exp coefficient must be > 0, got 0.0"),
         (ExpFamily, -0.0, "exp coefficient must be > 0, got -0.0"),
@@ -216,6 +216,12 @@ class TestPinnedMessages:
         with pytest.raises(DomainError) as exc:
             maker(value)
         assert str(exc.value) == text
+
+    @pytest.mark.parametrize("maker", [PowerFamily, LogFamily, ExpFamily])
+    def test_infinite_parameter_is_named_not_finite(self, maker):
+        # +inf passes the sign rule; what it breaks is the finite rule
+        with pytest.raises(DomainError, match=r"must be finite, got inf$"):
+            maker(math.inf)
 
     @pytest.mark.parametrize("maker", [PowerFamily, LogFamily, ExpFamily])
     def test_parameter_that_is_not_a_number(self, maker):

@@ -21,8 +21,9 @@ change of the exact g(q) = F(q, f(q)), the one that bisecting g over the
 whole bracket finds wherever that sign change is unique, and the intercept
 grid is the grid of integer indices bit for bit.  The last three tests check the
 curve inversion that all of these rest on: every p that solve_p_for_q
-returns is certified by the residual itself, and the fixed-q residual that
-each solve evaluates is that residual bit for bit.
+returns is certified by the residual itself, and the fixed-q state through
+which every evaluation of F goes gives F and its partials bit for bit as
+the exact quotients over q's and p's common denominator.
 """
 
 import math
@@ -34,7 +35,7 @@ from qposc import (CustomFamily, DeformationPoint, DegeneracyCondition, DomainEr
                    ExpFamily, LogFamily, PowerFamily, endpoint_q, family_energy, family_p,
                    intercept_curve, peak_level, residual, solve_degeneracy_on_family,
                    solve_p_for_q, validate_family)
-from qposc.degeneracy import _residual_at, _residual_raw, bisect_bracket
+from qposc.degeneracy import _FixedQ, bisect_bracket
 from qposc.families import _family_ps
 
 PROPERTY = settings(derandomize=True, max_examples=200, deadline=None)
@@ -110,7 +111,7 @@ def family_sign(fam, cond, q):
     q the exact sign of F."""
     if q in (fam.domain_low, 1.0):
         return q == 1.0
-    return _residual_raw(cond, q, family_p(fam, q)) > 0.0
+    return _FixedQ(cond, q)(family_p(fam, q)) > 0.0
 
 
 level_pairs = st.integers(2, 60).flatmap(lambda m2: st.tuples(st.integers(0, m2 - 1), st.just(m2)))
@@ -268,11 +269,48 @@ exact_pairs = st.one_of(
     st.integers(1, 300).flatmap(lambda m2: st.tuples(st.integers(0, m2 - 1), st.just(m2))))
 
 
+def phi_int(cond, n, e, j):
+    """The j-th derivative of Phi(n) = phi(n / 2^e) 2^(e (m2 + 1)), term by
+    term: Phi(n) = n^(m2+1) + u n^m2 - u^d n^(m1+1) - u^(d+1) n^m1 with
+    u = 2^e and d = m2 - m1."""
+    u, u_d = 1 << e, 1 << e * (cond.m2 - cond.m1)
+    terms = ((cond.m2 + 1, 1), (cond.m2, u), (cond.m1 + 1, -u_d), (cond.m1, -u_d * u))
+    return sum(c * math.perm(k, j) * n ** (k - j) for k, c in terms if k >= j)
+
+
+def common_denominator(q, p):
+    """(n_q, n_p, e): q = n_q / 2^e and p = n_p / 2^e exactly."""
+    (a, b), (c, f) = q.as_integer_ratio(), p.as_integer_ratio()
+    if b < f:
+        a *= f // b
+    else:
+        c *= b // f
+    return a, c, max(b, f).bit_length() - 1
+
+
+def reference_partials(cond, q, p):
+    """(F, dF/dq, dF/dp) as exact quotients over q's and p's common
+    denominator, each rounded once: N = F 2^(e m2) is
+    (Phi(n_q) - Phi(n_p)) / (n_q - n_p) off the diagonal and Phi'(n) on it,
+    dF/dq = (phi'(q) - F) / (q - p) off it and phi''(x) / 2 on it."""
+    nq, np_, e = common_denominator(q, p)
+    m2 = cond.m2
+    if nq == np_:
+        d = phi_int(cond, nq, e, 2) / (2 << e * (m2 - 1))
+        return phi_int(cond, nq, e, 1) / (1 << e * m2), d, d
+    n = (phi_int(cond, nq, e, 0) - phi_int(cond, np_, e, 0)) // (nq - np_)
+    den = (nq - np_) << e * (m2 - 1)
+    return (n / (1 << e * m2), (phi_int(cond, nq, e, 1) - n) / den,
+            (phi_int(cond, np_, e, 1) - n) / -den)
+
+
 @PROPERTY
 @given(pair=exact_pairs, q=binades, p=binades, diagonal=st.booleans())
 def test_the_fixed_q_residual_is_the_residual_bit_for_bit(pair, q, p, diagonal):
     cond = DegeneracyCondition(*pair)
     p = q if diagonal else p
-    f = _residual_at(cond, q)
-    assert f(p).hex() == _residual_raw(cond, q, p).hex()
-    assert f(q).hex() == _residual_raw(cond, q, q).hex()
+    f = _FixedQ(cond, q)
+    want = reference_partials(cond, q, p)
+    assert f(p).hex() == want[0].hex()
+    assert f(q).hex() == reference_partials(cond, q, q)[0].hex()
+    assert list(map(float.hex, f.partials(p))) == list(map(float.hex, want))
