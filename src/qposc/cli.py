@@ -44,16 +44,6 @@ def _parse_levels(text):
     return DegeneracyCondition(m1, m2)
 
 
-def _validated_family(text):
-    from .families import parse_family, validate_family
-    fam = parse_family(text)
-    report = validate_family(fam)
-    if not report.passed:
-        q, reason = report.violations[0]  # the first of at most _CAP, in grid order
-        raise DomainError(f"{fam.label} is not admissible: {reason} at q={q}")
-    return fam
-
-
 def _cmd_curve(args):
     from .degeneracy import trace_curve
     cond = _parse_levels(args.levels)
@@ -62,9 +52,9 @@ def _cmd_curve(args):
 
 
 def _cmd_solve(args):
-    from .families import family_energy, family_p, solve_degeneracy_on_family
+    from .families import family_energy, family_p, parse_family, solve_degeneracy_on_family
     cond = _parse_levels(args.levels)
-    fam = _validated_family(args.family)
+    fam = parse_family(args.family)
     q_star = solve_degeneracy_on_family(fam, cond)
     row = "none"
     if q_star is not None:
@@ -76,9 +66,9 @@ def _cmd_solve(args):
 
 def _cmd_spectrum(args):
     from .core import DeformationPoint, energy_spectrum
-    from .families import family_p
+    from .families import family_p, parse_family
     from .spectrum import profile
-    fam = _validated_family(args.family)
+    fam = parse_family(args.family)
     if args.q < 1.0 and args.n_max >= 2:
         shape = profile(fam, args.q, args.n_max)
         energies, peak = shape.energies, shape.peak_index
@@ -91,8 +81,9 @@ def _cmd_spectrum(args):
 
 
 def _cmd_intercept(args):
+    from .families import parse_family
     from .intercept import intercept_curve
-    fam = _validated_family(args.family)
+    fam = parse_family(args.family)
     curve = intercept_curve(fam, args.samples)
     body = [f"# form: {'extrapolated' if curve.extrapolated else 'exact'}", "q,lambda"]
     body += [_row(sample) for sample in curve.samples]

@@ -31,12 +31,20 @@ dyadic rationals, so the identity gives F exactly as a quotient of Python
 ints, rounded once: every computed sign of F is its true sign, and the
 root is the one pair of adjacent floats at which that sign changes.  A
 walk from Newton's estimate towards the root, in steps that double from
-one ulp, brackets it and bisect_bracket finishes it (_root, which the
-in-family solver of qposc.families calls with its own estimate).  Every
-evaluation of F goes through one fixed-q state, _FixedQ: it computes q's
-half of those integers, phi(q) and phi'(q), once, from one pair of big
-powers (_phi_pair), and each F(q, p) computes p's half alone.  Its
-partials give a curve point's on-curve check and slope.
+one ulp, brackets it and bisect_bracket finishes it (_root), halving at
+one midpoint rule (_mid).  Every evaluation of F goes through one fixed-q
+state, _FixedQ: it computes q's half of those integers, phi(q) and
+phi'(q), once, from one pair of big powers (_phi_pair), and each F(q, p)
+computes p's half alone.  Its partials give a curve point's on-curve
+check and slope.
+
+An in-family degeneracy is where a line p = f(q), non-decreasing with
+f(1) = 1, crosses a curve: the sign change of g(q) = F(q, f(q)) on
+[lo, 1] (_crossing).  Illinois on the O(1) surrogate
+G(q) = (L(f(q)) - L(q)) / (q - f(q)), which has g's sign, estimates it
+(_estimate_q), and g's exact sign certifies it through the same walk: 2
+exact evaluations of g in the median, where bisecting the whole of
+[lo, 1] took 56.
 """
 
 import math
@@ -225,17 +233,64 @@ def _estimate_p(cond, q, lo, hi):
     return x
 
 
+def _estimate_q(cond, f, lo):
+    """The float estimate of g's sign change on [lo, 1]: Illinois on the
+    surrogate G of the module docstring, -L'(q) where f(q) == q.  The ends
+    are not evaluated: g(lo) < 0 by the admission test and g(1) > 0.  A
+    step that leaves the bracket, as when an end's value is infinite, or
+    that follows three steps that did not halve it, takes _mid instead."""
+    def surrogate(q):
+        p = f(q)
+        if p == q:  # F(q, q) = phi'(q) = -L'(q) exp(L(q))
+            return -_log_neg_phi(cond, q)[1]
+        return (_log_neg_phi_value(cond, p) - _log_neg_phi_value(cond, q)) / (q - p)
+
+    a, b, ga, gb = lo, 1.0, -math.inf, math.inf
+    side, slow, width = 0, 0, math.inf  # the end the last step moved; steps since the bracket halved
+    for _ in range(200):  # a cap, not a tolerance: g's exact sign finishes
+        x = a - ga * (b - a) / (gb - ga)  # regula falsi; NaN or an end if a value is infinite
+        if slow > 2 or not a < x < b:
+            x = _mid(a, b)
+            if not a < x < b:  # a and b are adjacent floats
+                break
+        gx = surrogate(x)
+        if gx > 0.0:
+            b, gb = x, gx
+            if side > 0:  # Illinois: the same end twice, so halve the other's value
+                ga *= 0.5
+            side = 1
+        elif gx < 0.0:
+            a, ga = x, gx
+            if side < 0:
+                gb *= 0.5
+            side = -1
+        else:
+            return x
+        slow += 1
+        if b - a <= 0.5 * width:
+            slow, width = 0, b - a
+    return a if -ga < gb else b
+
+
+def _mid(lo, hi):
+    """The midpoint of [lo, hi], 0 <= lo < hi, strictly inside unless they
+    are adjacent floats: arithmetic while hi is 1 or at most 16 lo, else
+    geometric, so a root near 0 takes about 64 halvings of [0, 1], not 1 075."""
+    if hi == 1.0 or hi <= 16.0 * lo:
+        return 0.5 * (lo + hi)
+    return math.sqrt(max(lo, 5e-324)) * math.sqrt(hi)
+
+
 def bisect_bracket(f, lo, hi):
-    """Shrink [lo, hi], where f(lo) <= 0 < f(hi), to two adjacent floats and
-    return them as (lo, hi).  The ends' signs are the caller's, from the
-    model; the ends are never evaluated, as near a root, or where f
-    underflows to 0.0, their computed signs can be wrong.  f(mid) > 0 makes
-    mid hi and any other value, 0.0 too, lo; there is no tolerance."""
-    # linear midpoints: a float-order one would cap [0, 1] at 64 steps, but
-    # only brackets with no Newton estimate in them are bisected whole
+    """Shrink [lo, hi], 0 <= lo < hi, where f(lo) <= 0 < f(hi), to two
+    adjacent floats and return them as (lo, hi), halving at _mid.  The ends'
+    signs are the caller's, from the model; the ends are never evaluated, as
+    near a root, or where f underflows to 0.0, their computed signs can be
+    wrong.  f(mid) > 0 makes mid hi and any other value, 0.0 too, lo; there
+    is no tolerance."""
     while True:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:  # lo and hi are adjacent floats
+        mid = _mid(lo, hi)
+        if not lo < mid < hi:  # lo and hi are adjacent floats
             return lo, hi
         if f(mid) > 0.0:
             hi = mid
@@ -250,7 +305,7 @@ def _root(f, x, lo, hi):
     that way in steps doubling from ulp(x) (Bentley and Yao's unbounded
     search) and never evaluates an end.  bisect_bracket finishes it, or
     bisects the whole bracket if there is no estimate.  The p-solves and the
-    in-family solve of qposc.families share this one walk."""
+    in-family crossing (_crossing) share this one walk."""
     if x is not None:
         w = math.ulp(x)
         while lo <= x <= hi:
@@ -293,6 +348,18 @@ def solve_p_for_q(cond, q) -> Optional[float]:
         lo, hi = 0.0, q
     lo, hi = _root(f, _estimate_p(cond, q, lo, hi), lo, hi)
     return 0.5 * (lo + hi)
+
+
+def _crossing(cond, f, lo):
+    """The crossing on [lo, 1] of the line p = f(q) with cond's curve, as two
+    adjacent floats, or None.  The line crosses the decreasing curve at most
+    once, and does iff it starts below it: the curve has a p at q = lo
+    (solve_p_for_q) and f(lo) lies below it.  By (q - p) F = phi(q) - phi(p),
+    g(q) = F(q, f(q)) then rises through zero once (g(1) = 2 (m2 - m1) > 0)."""
+    p_curve = solve_p_for_q(cond, lo)
+    if p_curve is None or not f(lo) < p_curve:
+        return None
+    return _root(lambda q: _FixedQ(cond, q)(f(q)), _estimate_q(cond, f, lo), lo, 1.0)
 
 
 def _slope(cond, q, p, dq, dp):

@@ -15,21 +15,15 @@ The three built-in maps are admissible by theorem, so validate_family
 reports them without evaluating them; a subclass or a CustomFamily gets
 the 10 000-point grid.
 
-An in-family degeneracy is the sign change of g(q) = F(q, f(q)) on
-[domain_low, 1], found as qposc.degeneracy finds a p-root: floats estimate
-it, here a safeguarded Illinois method on the O(1) surrogate
-G(q) = (L(f(q)) - L(q)) / (q - f(q)), which has g's sign, and g's exact
-sign certifies it, by a walk from the estimate in steps that double from
-one ulp and a bisection of the bracket the walk leaves (degeneracy._root).
-That takes 2 exact evaluations of g in the median; bisecting g over the
-whole bracket took 56.
+An in-family degeneracy is a member's line crossing a degeneracy curve;
+qposc.degeneracy finds it (_crossing) and its module docstring says how.
 """
 
 import math
 import operator
 
 from .core import DeformationPoint, energy_level
-from .degeneracy import _FixedQ, _log_neg_phi, _log_neg_phi_value, _root, solve_p_for_q
+from .degeneracy import _crossing
 from .errors import DomainError, Record, _shown, to_float
 
 # grid size fixed by the admissibility contract
@@ -242,71 +236,18 @@ def validate_family(fam):
                         violations=shown, n_violations=len(found))
 
 
-def _estimate_q(fam, cond, lo):
-    """The float estimate of g's sign change on [lo, 1]: Illinois on the
-    surrogate G of the module docstring, -L'(q) where f(q) == q.  The ends
-    are not evaluated: g(lo) < 0 by the admission test and g(1) > 0.  A
-    step that leaves the bracket, as when an end's value is infinite, or
-    that follows three steps that did not halve it, takes the midpoint
-    instead: the arithmetic one while b is 1 or at most 16 a, else the
-    geometric one, so that a root near 0 takes few steps."""
-    def surrogate(q):
-        p = family_p(fam, q)
-        if p == q:  # F(q, q) = phi'(q) = -L'(q) exp(L(q))
-            return -_log_neg_phi(cond, q)[1]
-        return (_log_neg_phi_value(cond, p) - _log_neg_phi_value(cond, q)) / (q - p)
-
-    a, b, ga, gb = lo, 1.0, -math.inf, math.inf
-    side, slow, width = 0, 0, math.inf  # the end the last step moved; steps since the bracket halved
-    for _ in range(200):  # a cap, not a tolerance: g's exact sign finishes
-        x = a - ga * (b - a) / (gb - ga)  # regula falsi; NaN or an end if a value is infinite
-        if slow > 2 or not a < x < b:
-            x = (0.5 * (a + b) if b == 1.0 or b <= 16.0 * a
-                 else math.sqrt(max(a, 5e-324)) * math.sqrt(b))
-            if not a < x < b:  # a and b are adjacent floats
-                break
-        gx = surrogate(x)
-        if gx > 0.0:
-            b, gb = x, gx
-            if side > 0:  # Illinois: the same end twice, so halve the other's value
-                ga *= 0.5
-            side = 1
-        elif gx < 0.0:
-            a, ga = x, gx
-            if side < 0:
-                gb *= 0.5
-            side = -1
-        else:
-            return x
-        slow += 1
-        if b - a <= 0.5 * width:
-            slow, width = 0, b - a
-    return a if -ga < gb else b
-
-
 def solve_degeneracy_on_family(fam, cond):
     """The q strictly between domain_low and 1 where the family line crosses
     the degeneracy curve of cond, or None when the family does not admit
-    that degeneracy.
-
-    The family must be admissible (validate_family): a non-decreasing line
-    p = f(q) then crosses the decreasing curve at most once.  The member
-    admits the degeneracy iff it starts below the curve: the curve has a p
-    at q = domain_low (solve_p_for_q) and f(domain_low) lies below it.  By
-    (q - p) F(q, p) = phi(q) - phi(p), F(q, .) is negative below the
-    curve's p and positive above it, so g(q) = F(q, f(q)) then rises
-    through zero once on [domain_low, 1] (g(1) = 2 (m2 - m1) > 0).  Floats
-    estimate the crossing (_estimate_q) and g's exact sign certifies it
-    (degeneracy._root), as the module docstring says.  A crossing below
-    the smallest positive double, where the bracket keeps its lower end
-    0.0, raises DomainError.
+    that degeneracy; qposc.degeneracy._crossing says when it does and how
+    the crossing is certified.  The family must be admissible
+    (validate_family).  A crossing below the smallest positive double,
+    where the bracket keeps its lower end 0.0, raises DomainError.
     """
-    lo = fam.domain_low
-    p_curve = solve_p_for_q(cond, lo)
-    if p_curve is None or not family_p(fam, lo) < p_curve:
+    crossing = _crossing(cond, lambda q: family_p(fam, q), fam.domain_low)
+    if crossing is None:
         return None
-    a, b = _root(lambda q: _FixedQ(cond, q)(family_p(fam, q)),
-                 _estimate_q(fam, cond, lo), lo, 1.0)
+    a, b = crossing
     if a == 0.0:
         raise DomainError(f"{fam.label} crosses the {cond} curve below the "
                           f"smallest positive double")

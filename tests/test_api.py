@@ -1,6 +1,7 @@
 """The public API: the names exported by qposc.__all__, and what importing
 the package loads."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -160,6 +161,23 @@ for name in qposc.__all__[1:]:  # after __version__
 def test_star_import_binds_all_public_names():
     run_fresh("-c", "from qposc import *; import qposc\n"
               "assert all(globals()[name] is getattr(qposc, name) for name in qposc.__all__)")
+
+
+def test_every_module_level_import_is_used():
+    # an unused import is start-up time for every process that loads the
+    # module; __init__ binds the error types only to re-export them
+    reexported = {name for name, home in qposc._HOME.items() if home == "errors"}
+    unused = {}
+    for path in sorted((SRC / "qposc").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {(alias.asname or alias.name).partition(".")[0]
+                    for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names = imported - used - (reexported if path.name == "__init__.py" else set())
+        if names:
+            unused[path.name] = sorted(names)
+    assert unused == {}
 
 
 def test_dir_lists_public_and_submodule_names():

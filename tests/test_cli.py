@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from qposc import ConsistencyError, CustomFamily, energy_spectrum
+from qposc import ConsistencyError, energy_spectrum
 from qposc.cli import main
 
 
@@ -129,16 +129,6 @@ class TestSolveCommand:
         code, _, err = run_cli(capsys, "solve", "--levels", "0,2", "--family", "log:0.001")
         assert code == 2
         assert "underflows" in err
-
-    def test_inadmissible_family_names_its_first_violation(self, capsys, monkeypatch):
-        # f(1) = 1 and f stays in [0, 1], but it falls from q = 0 to q = 1/2
-        dipping = CustomFamily(lambda q: 1.0 - q * (1.0 - q), "dip")
-        monkeypatch.setattr("qposc.families.parse_family", lambda text: dipping)
-        code, out, err = run_cli(capsys, "solve", "--levels", "0,2", "--family", "power:1")
-        assert code == 2
-        assert out == ""
-        assert "dip is not admissible: f decreases: 1.0 -> " in err
-        assert err.rstrip().endswith(f"at q={1.0 / 9999}")
 
 
 README_CLI = Path(__file__).parent / "readme_cli"

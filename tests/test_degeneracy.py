@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 import qposc.degeneracy
 from qposc import (ConsistencyError, CurveTrace, DeformationPoint,
-                   DegeneracyCondition, DomainError, PowerFamily, endpoint_q,
-                   energy_level, implicit_derivative, parse_family, residual,
+                   DegeneracyCondition, DomainError, ExpFamily, LogFamily, PowerFamily,
+                   endpoint_q, energy_level, implicit_derivative, parse_family, residual,
                    solve_degeneracy_on_family, solve_p_for_q, trace_curve)
 from qposc.degeneracy import _FixedQ, bisect_bracket
 
@@ -565,6 +565,29 @@ SOLVE_DIGESTS = {
     (3, 300): "a2bd7c8752abd0dbdabacd7ba12025ccc3b966d2050634f164edd1033297adcb",
     (100, 500): "85b2a8c0b9c928b416b91ecb9ed32f7ba7c920450b93d416781d4cf165b4f267",
 }
+# the same digest of solve_degeneracy_on_family (q*, None or the DomainError
+# text) over family_cases: 300 seeded members and pairs, then five fixed ones
+FAMILY_DIGEST = "9f205a4d400570506372140e34692c9e6a5ebb95796755a7bb54ff4cd7989c83"
+
+
+def family_cases():
+    """(family, condition) pairs: power l and exp a log-uniform in
+    [1e-6, 1e2], log a log-uniform in [0.0015, 1e4], m1 in [0, 60] and
+    m2 - m1 in [1, 30]; then crossings near 0, at high pairs and on the
+    diagonal."""
+    rng, cases = random.Random(27), []
+    for _ in range(300):
+        kind = rng.choice(("power", "log", "exp"))
+        if kind == "log":
+            fam = LogFamily(math.exp(rng.uniform(math.log(0.0015), math.log(1e4))))
+        else:
+            value = 10.0 ** rng.uniform(-6.0, 2.0)
+            fam = PowerFamily(value) if kind == "power" else ExpFamily(value)
+        m1 = rng.randint(0, 60)
+        cases.append((fam, DegeneracyCondition(m1, m1 + rng.randint(1, 30))))
+    return cases + [(parse_family(text), DegeneracyCondition(*pair)) for text, pair in (
+        ("power:2.5", (0, 5)), ("exp:0.5", (3, 4)), ("power:1", (60, 61)),
+        ("log:0.0014", (0, 2)), ("exp:0.5", (300, 301)))]
 
 
 def record_evaluations(monkeypatch):
@@ -628,6 +651,17 @@ class TestOneEvaluationPerPoint:
             digests[pair] = digest.hexdigest()
         assert digests == SOLVE_DIGESTS
         assert endpoint_q(DegeneracyCondition(0, 200)).hex() == "0x1.fe3963c90f2abp-1"
+
+    def test_in_family_solve_bits_are_pinned(self):
+        digest = hashlib.sha256()
+        for fam, cond in family_cases():
+            try:
+                q_star = solve_degeneracy_on_family(fam, cond)
+                out = "None" if q_star is None else q_star.hex()
+            except DomainError as exc:
+                out = str(exc)
+            digest.update(f"{fam.label} {cond.m1} {cond.m2} {out}\n".encode())
+        assert digest.hexdigest() == FAMILY_DIGEST
 
     @pytest.mark.parametrize("pair", [(0, 2), (1, 2), (10, 37), (39, 40)])
     def test_one_evaluation_after_each_solve(self, monkeypatch, pair):
@@ -765,6 +799,34 @@ class TestRootHelpers:
 
         assert bisect_bracket(f, 0.0, 1.0) == (0.5, math.nextafter(0.5, 1.0))
         assert 0.0 not in calls and 1.0 not in calls  # the ends are not evaluated
+
+    @pytest.mark.parametrize("r", [1e-17, 1e-100, 1e-300, 0.3])
+    def test_a_whole_bracket_bisection_takes_at_most_64_evaluations(self, r):
+        # the midpoint is geometric while hi > 16 lo (hi < 1), so a root near
+        # 0 costs no more halvings than one near 1
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x - r
+
+        assert bisect_bracket(f, 0.0, 1.0) == (r, math.nextafter(r, 1.0))
+        assert len(calls) <= 64, len(calls)
+
+    @pytest.mark.parametrize("m, p_hex", [
+        (8, "0x1.975a4be6bba56p-58"), (9, "0x1.6ab725e75a37ap-57"),
+        (52, "0x1.b49419196abcap-54"), (60, "0x1.5165fee2cdd4ep-53"),
+        (105, "0x1.d1b01d4e59790p-58")])
+    def test_the_p_root_at_q_m_bisects_its_bracket_in_few_evaluations(
+            self, monkeypatch, m, p_hex):
+        # at q = q_m the root p is about 1e-17 and Newton has no start, so
+        # all of [0, q_m] is bisected
+        cond = DegeneracyCondition(0, m)
+        q = endpoint_q(cond)
+        assert qposc.degeneracy._estimate_p(cond, q, 0.0, q) is None
+        calls = count_residuals(monkeypatch)
+        assert solve_p_for_q(cond, q).hex() == p_hex
+        assert 1 <= len(calls) <= 66, len(calls)
 
 
 class TestInFamilyEvaluations:
