@@ -192,7 +192,7 @@ def fock_rep(dim, point):
     # one block: three separate 2 MB arrays (dim 500) cost 1 400 page faults a call
     a, a_dagger, n = np.zeros((3, dim, dim))
     a.flat[1::dim + 1] = a_dagger.flat[dim::dim + 1] = s  # A+ = A^T
-    n.flat[::dim + 1] = range(dim)
+    n.flat[::dim + 1] = np.arange(dim)
     return FockRep(dim, a, a_dagger, n)
 
 
@@ -200,15 +200,24 @@ def fock_residuals(rep, point):
     """Max entrywise residuals of the two ladder relations on the first
     dim-1 columns: (A A+ - q A+ A - p^N, A A+ - p A+ A - q^N).
 
-    Checks FockRep's structure first (DomainError counts the stray entries);
-    then both relations are diagonal and take O(dim) from the superdiagonal
-    of A, by _ladder_residuals.
+    Checks FockRep's structure first: DomainError counts A's entries off its
+    superdiagonal s that are != 0.0 (count_nonzero's rule, as a vectorised bool
+    count) and those where A+ != A^T.  If A has none and A+ is shaped as A^T, A^T
+    is s on its subdiagonal and 0 elsewhere: the second count is then nnz(A+) -
+    nnz(sub) + #(sub != s), sub = diag(A+, -1), read in A+'s row order; else the
+    strided compare counts an A+ entry that mirrors a stray of A once.  Both
+    relations are then diagonal: O(dim) from s, by _ladder_residuals.
     """
     np = _numpy()
-    a = rep.a_matrix
+    a, ad = rep.a_matrix, np.asarray(rep.a_dagger_matrix)
     s = np.diag(a, 1)
-    stray = (np.count_nonzero(a) - np.count_nonzero(s)
-             + np.count_nonzero(rep.a_dagger_matrix != a.T))
+    stray = np.count_nonzero(a != 0.0) - np.count_nonzero(s != 0.0)
+    if stray or a.ndim != 2 or ad.shape != a.T.shape:
+        stray += np.count_nonzero(ad != a.T)
+    else:
+        sub = np.diag(ad, -1)
+        stray = (np.count_nonzero(ad != 0.0) - np.count_nonzero(sub != 0.0)
+                 + np.count_nonzero(sub != s))
     if stray:
         raise DomainError(f"{stray} stray entries: A must vanish off its "
                           "superdiagonal and A+ must equal A^T")

@@ -56,6 +56,13 @@ def dense_residuals(rep, pt):
     return float(r1), float(r2)
 
 
+def reference_stray_count(rep):
+    # the three-term count that fock_residuals' contiguous passes must equal
+    a = rep.a_matrix
+    return (np.count_nonzero(a) - np.count_nonzero(np.diag(a, 1))
+            + np.count_nonzero(rep.a_dagger_matrix != a.T))
+
+
 def random_points(rng, n):
     pts = []
     while len(pts) < n:
@@ -418,3 +425,75 @@ class TestFock:
         ad[2, 1] *= 2.0  # A+ no longer the transpose of A
         with pytest.raises(DomainError, match="^1 stray"):
             fock_residuals(FockRep(6, rep.a_matrix, ad, rep.n_matrix), pt)
+
+    def check_stray_outcome(self, a, ad, pt):
+        # fock_residuals' outcome is the reference's: a count, its exception, or 0 and the bits
+        dim = len(a)
+        rep = FockRep(dim, a, ad, fock_rep(dim, pt).n_matrix)
+        try:
+            want = reference_stray_count(rep)
+        except ValueError as exc:  # an A+ that does not broadcast against A^T
+            with pytest.raises(type(exc)) as got:
+                fock_residuals(rep, pt)
+            assert got.type is type(exc)
+            return type(exc)
+        if want:
+            with pytest.raises(DomainError, match=f"^{want} stray"):
+                fock_residuals(rep, pt)
+        else:
+            s = np.diag(a, 1).tolist()
+            assert ([x.hex() for x in fock_residuals(rep, pt)]
+                    == [x.hex() for x in _ladder_residuals(s, pt.q, pt.p)])
+        return want
+
+    @pytest.mark.parametrize("dim", [2, 3, 7, 64, 500])
+    def test_stray_count_equals_the_three_term_reference(self, dim):
+        rng = random.Random(dim)
+        values = (math.nan, math.inf, -math.inf, -0.0, 0.0, 0.25, "twice")
+        for _ in range(150):
+            pt = DeformationPoint(rng.random(), rng.random())
+            rep = fock_rep(dim, pt)
+            a, ad = rep.a_matrix.copy(), rep.a_dagger_matrix.copy()
+            for _ in range(rng.randint(0, 3)):
+                m, other = rng.choice(((a, ad), (ad, a)))
+                i, j = rng.randrange(dim), rng.randrange(dim)
+                value = rng.choice(values)
+                m[i, j] = 2.0 * m[i, j] if value == "twice" else value
+                if rng.random() < 0.4:  # mirrored, so A+ stays A^T at this entry
+                    other[j, i] = m[i, j]
+            shape = rng.choice(("copy", "copy", "copy", "view", "square", "row"))
+            ad = {"copy": ad, "view": a.T, "square": ad[:dim - 1, :dim - 1].copy(),
+                  "row": ad[:1].copy()}[shape]
+            self.check_stray_outcome(a, ad, pt)
+
+    def test_shaped_a_dagger_keeps_its_outcome(self):
+        # a stray of A that A+ mirrors counts once; A+ as the view A^T counts
+        # A's strays alone; a (dim-1, dim-1) A+ does not broadcast (from dim 3),
+        # and a (1, dim) A+, the zero first row of A^T, differs from each other row once
+        pt = DeformationPoint(0.6, 0.9)
+        for dim in (3, 7, 64, 500):
+            a = fock_rep(dim, pt).a_matrix.copy()
+            assert self.check_stray_outcome(a, a.T[:dim - 1, :dim - 1].copy(), pt) is ValueError
+            assert self.check_stray_outcome(a, a.T[:1].copy(), pt) == dim - 1
+            a[dim - 1, 0] = 0.25
+            assert self.check_stray_outcome(a, a.T.copy(), pt) == 1
+            a[0, 0] = math.nan  # a stray of A, and the view's NaN differs from itself
+            assert self.check_stray_outcome(a, a.T, pt) == 3
+
+    @pytest.mark.parametrize("matrix, at", [
+        ("a", (0, 0)), ("a", (499, 0)), ("a", (499, 499)),
+        ("ad", (0, 499)), ("ad", (0, 0)), ("ad", (1, 0)), ("ad", (499, 498)),
+    ], ids=["A[0,0]", "A[dim-1,0]", "A[dim-1,dim-1]", "A+[0,dim-1]", "A+[0,0]",
+            "A+[1,0]", "A+[dim-1,dim-2]"])
+    def test_one_stray_at_each_edge_of_the_counts(self, matrix, at):
+        # the corners of A and A+ and both ends of A+'s subdiagonal, at dim 500
+        pt = DeformationPoint(0.7, 0.9)
+        rep = fock_rep(500, pt)
+        a, ad = rep.a_matrix.copy(), rep.a_dagger_matrix.copy()
+        if matrix == "a":
+            a[at] = 0.25
+            ad = a.T.copy()
+        else:
+            ad[at] = 2.0 * ad[at] if at[0] == at[1] + 1 else 0.25
+        with pytest.raises(DomainError, match="^1 stray"):
+            fock_residuals(FockRep(500, a, ad, rep.n_matrix), pt)
