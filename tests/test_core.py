@@ -467,18 +467,21 @@ class TestFock:
             self.check_stray_outcome(a, ad, pt)
 
     def test_shaped_a_dagger_keeps_its_outcome(self):
-        # a stray of A that A+ mirrors counts once; A+ as the view A^T counts
-        # A's strays alone; a (dim-1, dim-1) A+ does not broadcast (from dim 3),
-        # and a (1, dim) A+, the zero first row of A^T, differs from each other row once
+        # a (dim-1, dim-1) A+ does not broadcast against A^T (from dim 3); a
+        # (1, dim) A+, A^T's zero first row, differs from each other row once;
+        # a stray of A that A+ mirrors counts once
         pt = DeformationPoint(0.6, 0.9)
         for dim in (3, 7, 64, 500):
             a = fock_rep(dim, pt).a_matrix.copy()
             assert self.check_stray_outcome(a, a.T[:dim - 1, :dim - 1].copy(), pt) is ValueError
             assert self.check_stray_outcome(a, a.T[:1].copy(), pt) == dim - 1
+            assert self.check_stray_outcome(a, a.T.tolist(), pt) == 0  # lists compare as arrays
             a[dim - 1, 0] = 0.25
             assert self.check_stray_outcome(a, a.T.copy(), pt) == 1
             a[0, 0] = math.nan  # a stray of A, and the view's NaN differs from itself
             assert self.check_stray_outcome(a, a.T, pt) == 3
+            # a 1-D A, which np.diag turns into a matrix, keeps the strided compare
+            assert self.check_stray_outcome(np.ones(dim), np.full(dim, 2.0), pt) == dim
 
     @pytest.mark.parametrize("matrix, at", [
         ("a", (0, 0)), ("a", (499, 0)), ("a", (499, 499)),
