@@ -90,22 +90,17 @@ def _phi_int(cond, n, e, j=0):
     """The j-th derivative of the integer polynomial
     Phi(n) = phi(x) 2^(e (m2 + 1)) at x = n / 2^e, so that
     phi^(j)(x) = Phi^(j)(n) / 2^(e (m2 + 1 - j)).  With
-    u = 2^e (x = 1) and d = m2 - m1,
+    u = 2^e (x = 1) and d = m2 - m1, Phi is four monomials c n^k,
 
-        Phi(n) = n^(m2+1) + u n^m2 - u^d (n^(m1+1) + u n^m1),
+        Phi(n) = n^(m2+1) + u n^m2 - u^d n^(m1+1) - u^(d+1) n^m1,
 
-    so n^j Phi^(j)(n) has the factor n^m1, and n^m1 and n^d are its only
-    big powers."""
+    and Phi^(j) is their exact sum of c k!/(k-j)! n^(k-j) over k >= j."""
     m1, m2, d = cond.m1, cond.m2, cond.m2 - cond.m1
     unit, unit_d = 1 << e, 1 << e * d
     if not j:  # the hot case
         return (unit + n) * n ** m1 * (n ** d - unit_d)
-    if not n:  # j! times Phi's coefficient of n^j
-        terms = ((m2 + 1, 1), (m2, unit), (m1 + 1, -unit_d), (m1, -unit_d * unit))
-        return math.factorial(j) * sum(c for k, c in terms if k == j)
-    perm = math.perm
-    return n ** m1 * (n ** d * (perm(m2 + 1, j) * n + perm(m2, j) * unit)
-                      - (perm(m1 + 1, j) * n + perm(m1, j) * unit) * unit_d) // n ** j
+    terms = ((m2 + 1, 1), (m2, unit), (m1 + 1, -unit_d), (m1, -unit_d * unit))
+    return sum(c * math.perm(k, j) * n ** (k - j) for k, c in terms if k >= j)
 
 
 def _phi_pair(cond, n, e):

@@ -144,9 +144,9 @@ def _real(p):
 
 def _clamp(p):
     # boundary values like 1 + a*ln(exp(-1/a)) land a few ulp outside [0, 1]
-    if -_BOUNDS_SLACK < p < 0.0:
+    if -_BOUNDS_SLACK <= p < 0.0:
         return 0.0
-    if 1.0 < p < 1.0 + _BOUNDS_SLACK:
+    if 1.0 < p <= 1.0 + _BOUNDS_SLACK:
         return 1.0
     return p
 
@@ -212,7 +212,7 @@ def validate_family(fam):
     (q, reason) violations run at all.  A value beyond the float range is a
     violation like any other."""
     notes = (["boundary member: constant map p = 1"]
-             if isinstance(fam, PowerFamily) and fam.exponent == 0.0 else [])
+             if type(fam) is PowerFamily and fam.exponent == 0.0 else [])
     if type(fam) in (PowerFamily, LogFamily, ExpFamily):
         return FamilyReport(passed=True, endpoint_value=1.0, notes=notes)
     lo = fam.domain_low

@@ -2,10 +2,11 @@
 Bose gas built on a reduction family.
 
 The asymptote is lambda = q + f(q) - 1.  Two members have this form on
-record: the constant family p = 1, where the intercept is q itself, and the
-exponential family with coefficient 1/2, where it is -1 + q + exp((q-1)/2).
-For every other family the same expression is an extrapolation and is
-labeled as such in emitted tables.
+record: the constant family p = 1, an exact PowerFamily(0), where the
+intercept is q itself, and an exact ExpFamily(0.5), where it is
+-1 + q + exp((q-1)/2).  For every other family, a subclass of either
+class included, the same expression is an extrapolation and is labeled
+as such in emitted tables.
 """
 
 from .errors import Record, to_float, to_index
@@ -32,9 +33,9 @@ class InterceptCurve(Record):
 
 
 def _is_extrapolated(fam):
-    if isinstance(fam, PowerFamily) and fam.exponent == 0.0:
+    if type(fam) is PowerFamily and fam.exponent == 0.0:
         return False
-    if isinstance(fam, ExpFamily) and fam.alpha == 0.5:
+    if type(fam) is ExpFamily and fam.alpha == 0.5:
         return False
     return True
 

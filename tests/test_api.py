@@ -180,6 +180,38 @@ def test_every_module_level_import_is_used():
     assert unused == {}
 
 
+def test_every_private_module_level_name_is_used():
+    # a twin or a helper left behind by a consolidation fails here: every
+    # private top-level function, class or constant is read somewhere in
+    # the package outside its own definition
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted((SRC / "qposc").glob("*.py"))}
+
+    def reads(node):
+        return ({sub.id for sub in ast.walk(node)
+                 if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store)}
+                | {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
+                | {sub.name for sub in ast.walk(node) if isinstance(sub, ast.alias)})
+
+    read_by = [(node, reads(node)) for tree in trees.values() for node in tree.body]
+    unused = {}
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if not name.startswith("_") or name.startswith("__") and name.endswith("__"):
+                    continue
+                if not any(name in seen for other, seen in read_by if other is not node):
+                    unused.setdefault(module, []).append(name)
+    assert unused == {}
+
+
 def test_dir_lists_public_and_submodule_names():
     assert set(qposc.__all__) | set(SUBMODULES) <= set(dir(qposc))
 

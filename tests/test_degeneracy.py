@@ -17,7 +17,7 @@ from qposc import (ConsistencyError, CurveTrace, DeformationPoint,
                    DegeneracyCondition, DomainError, ExpFamily, LogFamily, PowerFamily,
                    endpoint_q, energy_level, implicit_derivative, parse_family, residual,
                    solve_degeneracy_on_family, solve_p_for_q, trace_curve)
-from qposc.degeneracy import _FixedQ, bisect_bracket
+from qposc.degeneracy import _FixedQ, _phi_int, _phi_pair, bisect_bracket
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -169,6 +169,52 @@ class TestExactResidual:
         got = _FixedQ(cond, 0.3)(0.7)
         with pytest.raises(AssertionError, match="correctly rounded"):
             assert_correctly_rounded(math.nextafter(got, 0.0), cond, 0.3, 0.7)
+
+
+def phi_derivative_reference(cond, n, e, j):
+    """Phi^(j)(n) for Phi(n) = phi(n / u) u^(m2+1), u = 2^e, built apart from
+    the package: (1 + x)(x^m2 - x^m1) expanded into integer coefficients,
+    the one of x^k scaled by u^(m2+1-k), differentiated j times and
+    evaluated by Horner."""
+    factor = [0] * (cond.m2 + 1)
+    factor[cond.m2] += 1
+    factor[cond.m1] -= 1
+    coeffs = [0] * (cond.m2 + 2)
+    for k, c in enumerate(factor):  # times 1 + x
+        coeffs[k] += c
+        coeffs[k + 1] += c
+    coeffs = [c << e * (cond.m2 + 1 - k) for k, c in enumerate(coeffs)]
+    for _ in range(j):
+        coeffs = [k * c for k, c in enumerate(coeffs)][1:]
+    value = 0
+    for c in reversed(coeffs):
+        value = value * n + c
+    return value
+
+
+# the lowest pairs, neighbours (where two of Phi's monomials cancel) and a
+# high pair
+phi_pairs = st.one_of(st.sampled_from([(0, 1), (0, 2), (2, 300)]),
+                      st.integers(1, 60).map(lambda m: (m, m + 1)), pairs)
+phi_points = st.integers(0, 80).flatmap(lambda e: st.tuples(
+    st.just(e), st.one_of(st.just(0), st.just(1), st.integers(0, (1 << e) - 1))))
+
+
+class TestPhiIntegers:
+    @PROPERTY
+    @given(pair=phi_pairs, point=phi_points)
+    def test_phi_and_its_derivatives_are_the_reference(self, pair, point):
+        cond, (e, n) = DegeneracyCondition(*pair), point
+        want = [phi_derivative_reference(cond, n, e, j) for j in range(4)]
+        assert [_phi_int(cond, n, e, j) for j in range(4)] == want
+        assert _phi_pair(cond, n, e) == (want[0], want[1])
+
+    def test_the_reference_is_phi_at_small_points(self):
+        # Phi(n) = n^3 + 2 n^2 - 2^2 n - 2^3 for (0, 2) at e = 1, and
+        # Phi'(n) = 3 n^2 + 4 n - 4
+        cond = DegeneracyCondition(0, 2)
+        assert [phi_derivative_reference(cond, n, 1, 0) for n in range(3)] == [-8, -9, 0]
+        assert [phi_derivative_reference(cond, n, 1, 1) for n in range(3)] == [-4, 3, 16]
 
 
 def count_bisections(monkeypatch):

@@ -333,6 +333,51 @@ class TestValidation:
         assert repr(validate_family(fam)) == repr(pointwise_report(fam))
 
 
+class TestOneSlackBand:
+    """A value that validate_family accepts, the band's ends included, is
+    one that family_p and intercept_curve clamp onto [0, 1]."""
+
+    def test_the_lower_edge_is_clamped_to_zero(self):
+        fam = CustomFamily(lambda q: -1e-12 if q == 0.0 else q, "edge")
+        assert validate_family(fam).passed
+        assert family_p(fam, 0.0) == 0.0
+        assert intercept_curve(fam, 3).samples == ((0.0, -1.0), (0.5, 0.0), (1.0, 1.0))
+
+    def test_an_interior_value_on_the_upper_edge_is_clamped_to_one(self):
+        fam = CustomFamily(lambda q: min(2.0 * q, 1.0 + 1e-12) if q < 1.0 else 1.0, "edge")
+        assert fam.p_of_q(0.75) == 1.0 + 1e-12 and family_p(fam, 0.75) == 1.0
+        assert validate_family(fam).passed
+        assert intercept_curve(fam, 5).samples[3] == (0.75, 0.75)
+
+
+class TestBuiltInMeansTheExactClass:
+    """The power:0 note, the admissibility shortcut and the intercept's
+    exact label all go to the exact built-in class, never to a subclass."""
+
+    def test_a_subclass_of_the_constant_member_is_not_it(self):
+        class Diagonal(PowerFamily):
+            def p_of_qs(self, qs):
+                return list(qs)
+
+        fam = Diagonal(0)
+        report = validate_family(fam)
+        assert (report.passed, report.notes) == (True, [])
+        assert intercept_curve(fam, 3).extrapolated is True
+
+    def test_a_subclass_of_the_exp_half_member_is_extrapolated(self):
+        class Square(ExpFamily):
+            def p_of_qs(self, qs):
+                return [q * q for q in qs]
+
+        assert intercept_curve(Square(0.5), 3).extrapolated is True
+
+    @pytest.mark.parametrize("exponent", [0, -0.0])
+    def test_the_exact_members_keep_their_labels(self, exponent):
+        fam = PowerFamily(exponent)
+        assert validate_family(fam).notes == ["boundary member: constant map p = 1"]
+        assert intercept_curve(fam, 3).extrapolated is False
+
+
 def mp_log_crossing(alpha, m1, m2):
     """The crossing of log:alpha with the (m1, m2) curve in 60-digit mpmath,
     bisected in t = ln q on [-1/alpha, 0], where p = 1 + alpha t runs over
