@@ -42,9 +42,8 @@ An in-family degeneracy is where a line p = f(q), non-decreasing with
 f(1) = 1, crosses a curve: the sign change of g(q) = F(q, f(q)) on
 [lo, 1] (_crossing).  Illinois on the O(1) surrogate
 G(q) = (L(f(q)) - L(q)) / (q - f(q)), which has g's sign, estimates it
-(_estimate_q), and g's exact sign certifies it through the same walk: 2
-exact evaluations of g in the median, where bisecting the whole of
-[lo, 1] took 56.
+(_estimate_q), and g's exact sign certifies it through the same walk, in
+2 exact evaluations of g in the median.
 """
 
 import math
@@ -175,38 +174,32 @@ def residual(cond, point):
 
 
 def _log_neg_phi(cond, x):
-    """L(x) = ln(-phi(x)) and L'(x) for 0 < x < 1, in O(1) for every pair:
-    -phi(x) = (1 + x) x^m1 (1 - x^d) > 0 with d = m2 - m1."""
+    """(L(x), L'(x)), L = ln(-phi), in O(1) for every pair: -phi(x) =
+    (1 + x) x^m1 (1 - x^d) > 0 on (0, 1), d = m2 - m1.  At the ends L is its
+    limit, L(0) = 0 for a ground pair (-phi(0) = 1), else -inf, and
+    L(1) = -inf (phi(1) = 0); L' there is NaN, which no caller reads."""
+    if not 0.0 < x < 1.0:
+        return (0.0 if x == 0.0 and not cond.m1 else -math.inf), math.nan
     d, lx = cond.m2 - cond.m1, math.log(x)
     tail = -math.expm1(d * lx)  # 1 - x^d without cancellation
     return (math.log1p(x) + cond.m1 * lx + math.log(tail),
             1.0 / (1.0 + x) + (cond.m1 - d * x ** d / tail) / x)
 
 
-def _log_neg_phi_value(cond, x):
-    """L(x) alone, bit for bit _log_neg_phi's value, on [0, 1] with its
-    limits at the ends: L(0) = 0 for a ground pair (-phi(0) = 1) and -inf
-    otherwise, and L(1) = -inf (phi(1) = 0)."""
-    if not 0.0 < x < 1.0:
-        return 0.0 if x == 0.0 and not cond.m1 else -math.inf
-    lx = math.log(x)
-    return math.log1p(x) + cond.m1 * lx + math.log(-math.expm1((cond.m2 - cond.m1) * lx))
-
-
 def _estimate_p(cond, q, lo, hi):
     """Newton's estimate of the p in [lo, hi] with L(p) = L(q), 0 <= q < 1,
-    or None where it cannot start.
+    or None where it cannot start, with L and L' from _log_neg_phi.
 
     L is concave on (0, 1), so Newton moves monotonically towards the root
     from the side it starts on: beyond the root on [q, 1], below it on
     [0, q].  The start is on that side by a bound on L: L(p) < ln(2d(1 - p))
     on [q, 1], L(p) < log1p(q) + m1 ln p on [0, q] for m1 > 0, and
     L(p) < log1p(p) for m1 = 0.  Steps stop when they no longer move the
-    estimate that way, or leave the bracket; F decides the root.  L(0) is
-    closed-form: 0 for a ground pair (-phi(0) = 1), else -inf, where the
-    start rounds to hi = 1.0, the root, as F(0, p) <= 0 on [0, 1).
+    estimate that way, or leave the bracket; F decides the root.  At q = 0
+    a pair with m1 > 0 has L(0) = -inf, so the start rounds to hi = 1.0,
+    the root, as F(0, p) <= 0 on [0, 1).
     """
-    lq = _log_neg_phi_value(cond, q)
+    lq = _log_neg_phi(cond, q)[0]
     if lo == q:  # [q, 1]: q is on the falling branch of phi
         x, s = 1.0 - math.exp(lq) / (2 * (cond.m2 - cond.m1)), -1.0
     elif cond.m1:
@@ -230,15 +223,16 @@ def _estimate_p(cond, q, lo, hi):
 
 def _estimate_q(cond, f, lo):
     """The float estimate of g's sign change on [lo, 1]: Illinois on the
-    surrogate G of the module docstring, -L'(q) where f(q) == q.  The ends
-    are not evaluated: g(lo) < 0 by the admission test and g(1) > 0.  A
-    step that leaves the bracket, as when an end's value is infinite, or
-    that follows three steps that did not halve it, takes _mid instead."""
+    surrogate G of the module docstring, -L'(q) where f(q) == q, with L(q)
+    and L'(q) from one _log_neg_phi call.  The ends are not evaluated:
+    g(lo) < 0 by the admission test and g(1) > 0.  A step that leaves the
+    bracket, as when an end's value is infinite, or that follows three
+    steps that did not halve it, takes _mid instead."""
     def surrogate(q):
-        p = f(q)
+        p, (lq, dlq) = f(q), _log_neg_phi(cond, q)
         if p == q:  # F(q, q) = phi'(q) = -L'(q) exp(L(q))
-            return -_log_neg_phi(cond, q)[1]
-        return (_log_neg_phi_value(cond, p) - _log_neg_phi_value(cond, q)) / (q - p)
+            return -dlq
+        return (_log_neg_phi(cond, p)[0] - lq) / (q - p)
 
     a, b, ga, gb = lo, 1.0, -math.inf, math.inf
     side, slow, width = 0, 0, math.inf  # the end the last step moved; steps since the bracket halved
@@ -398,7 +392,7 @@ def implicit_derivative(cond, point):
                           f"(|residual| = {abs(r):.3g})")
     if dp == 0.0:
         raise DomainError(f"no finite slope at ({q}, {p}): dF/dq = {dq + 0.0:.3g}, dF/dp = 0")
-    return -dq / dp + 0.0  # + 0.0 normalizes -0.0
+    return _slope(cond, q, p, dq, dp)
 
 
 def endpoint_q(cond):

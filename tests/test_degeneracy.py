@@ -457,6 +457,26 @@ class TestImplicitDerivative:
         with pytest.raises(DomainError, match="dF/dq = 0, dF/dp = 0"):
             implicit_derivative(DegeneracyCondition(40, 41), DeformationPoint(0.0, 1e-10))
 
+    def test_trace_slopes_are_implicit_derivatives(self):
+        # one slope rule serves both: every sample's dpdq is
+        # implicit_derivative's at its (q, p), bit for bit, except at a
+        # vertical tangent, which the trace reports as an infinite slope and
+        # implicit_derivative refuses
+        outcomes = Counter()
+        for pair in [(0, 2), (0, 3), (0, 6), (1, 2), (2, 3), (4, 5), (7, 8), (12, 13),
+                     (39, 40), (2, 40), (3, 7), (0, 40)]:
+            cond = DegeneracyCondition(*pair)
+            for q, p, dpdq in trace_curve(cond, 200).samples:
+                try:
+                    slope = implicit_derivative(cond, DeformationPoint(q, p))
+                except DomainError:
+                    assert math.isinf(dpdq), (pair, q, p, dpdq)
+                    outcomes["vertical"] += 1
+                else:
+                    assert float.hex(slope) == float.hex(dpdq), (pair, q, p, slope, dpdq)
+                    outcomes["equal"] += 1
+        assert outcomes == Counter(equal=2393, vertical=7)
+
 
 class TestEndpoint:
     def test_golden_section_case(self):
