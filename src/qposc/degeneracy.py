@@ -35,8 +35,11 @@ one ulp, brackets it and bisect_bracket finishes it (_root), halving at
 one midpoint rule (_mid).  Every evaluation of F goes through one fixed-q
 state, _FixedQ: it computes q's half of those integers, phi(q) and
 phi'(q), once, from one pair of big powers (_phi_pair), and each F(q, p)
-computes p's half alone.  Its partials give a curve point's on-curve
-check and slope.
+computes p's half alone.  Its partials give the curve slope only near the
+diagonal, |q - p| < 2 / max(m2 + 1, 32), and on the axes; elsewhere the
+slope is the float ratio phi'(q) / phi'(p), where -F_q/F_p at the float p
+loses digits towards the (0, 1) corner.  _slope derives the band: either
+way the slope is within about twice max(m1 + m2, 32) ulps of the curve's.
 
 An in-family degeneracy is where a line p = f(q), non-decreasing with
 f(1) = 1, crosses a curve: the sign change of g(q) = F(q, f(q)) on
@@ -351,8 +354,40 @@ def _crossing(cond, f, lo):
     return _root(lambda q: _FixedQ(cond, q)(f(q)), _estimate_q(cond, f, lo), lo, 1.0)
 
 
-def _slope(cond, q, p, dq, dp):
-    """dp/dq = -dq/dp from the partials; a vertical tangent gives -inf (or +inf)."""
+def _dphi(cond, x):
+    """phi'(x) in floats, 0 < x <= 1: x^(m2-1) ((m2+1) x + m2) - 1 for m1 = 0,
+    else x^(m1-1) (d (1 + x) - (1 - x^d) ((m2+1) x + m2)) with d = m2 - m1
+    and 1 - x^d = -expm1(d ln x), which cancels nothing near x = 1."""
+    m1, m2 = cond.m1, cond.m2
+    h = (m2 + 1) * x + m2
+    if not m1:
+        return x ** (m2 - 1) * h - 1.0
+    d = m2 - m1
+    return x ** (m1 - 1) * (d * (1.0 + x) + math.expm1(d * math.log(x)) * h)
+
+
+def _slope(cond, q, p, partials=None):
+    """dp/dq at the curve point (q, p).  Off the axes and off the band
+    |q - p| < 2 / max(m2 + 1, 32) around the diagonal it is the float ratio
+    phi'(q) / phi'(p) (_dphi), which needs no exact state; elsewhere it is
+    -(dF/dq) / (dF/dp) from the exact partials, the caller's or
+    _FixedQ.partials', and a vertical tangent gives -inf (or +inf).
+
+    p is within an ulp of the curve, and each form carries that error into
+    the slope s.  The ratio's relative error is |phi''(p) / phi'(p)| ulp(p),
+    about 2 ulp(p) / |q - p| near x*, where phi' vanishes and q and p lie
+    either side of it; the cancellation of float phi' there adds about as
+    much.  Outside the band that is at most about max(m2 + 1, 32) ulp(p): 32,
+    under 1e-14 with the cancellation, or for m2 > 31 the order of the
+    ratio's error at the (0, 1) corner, ulp(p) phi''(1) / phi'(1) =
+    (m1 + m2) ulp(p).  -F_q/F_p's is |1 + 1/s| ulp(p) / |q - p|: small near
+    the diagonal, where s is near -1, but growing as 1/|s| towards the
+    corner, which a band of width 2 / (m2 + 1) keeps out."""
+    if q and p and abs(q - p) >= 2.0 / max(cond.m2 + 1, 32):
+        dphi_p = _dphi(cond, p)
+        if dphi_p:  # else phi'(p) underflows, as at p ~ 1e-10 on a high pair
+            return _dphi(cond, q) / dphi_p + 0.0
+    _, dq, dp = partials or _FixedQ(cond, q).partials(p)
     if dp == 0.0:
         if dq == 0.0:
             raise ConsistencyError(f"degenerate tangent for {cond} at ({q}, {p}): "
@@ -377,7 +412,8 @@ def _monomial_scale(cond, q, p):
 
 
 def implicit_derivative(cond, point):
-    """Curve slope dp/dq = -(dF/dq)/(dF/dp) at a point on the curve.
+    """Curve slope dp/dq = -(dF/dq)/(dF/dp) at a point on the curve, by
+    _slope's rule.
 
     The point must satisfy |residual| < 1e-8, and |residual| <= 1e-8 times
     the sum of |monomials| of F (_monomial_scale): near q = 0 a high pair's
@@ -392,7 +428,7 @@ def implicit_derivative(cond, point):
                           f"(|residual| = {abs(r):.3g})")
     if dp == 0.0:
         raise DomainError(f"no finite slope at ({q}, {p}): dF/dq = {dq + 0.0:.3g}, dF/dp = 0")
-    return _slope(cond, q, p, dq, dp)
+    return _slope(cond, q, p, (r, dq, dp))
 
 
 def endpoint_q(cond):
@@ -429,6 +465,19 @@ def trace_curve(cond, n_samples):
     exactly rather than re-solved, which keeps the root finder away from the
     axis touch points.  A vertical tangent at an endpoint is reported as
     an infinite slope.
+
+    Every interior sample has a p, and lies on the curve, so neither is
+    checked.  solve_p_for_q finds no p only where F(q, q) > 0 and
+    F(q, 0) > 0, by exact signs.  But F(q, 0) = phi(q) / q < 0 on (0, 1) for
+    m1 >= 1, and for a ground pair F(q, 0) = q^m2 + q^(m2-1) - 1 rises to
+    F(q_m, 0) <= 0 at the float q_m that endpoint_q returns, above every
+    interior q = q_m i / last (rounding is monotone, and last < 2^53 in any
+    trace that fits in memory).  The p it returns is one of two adjacent
+    floats lo < hi with F(q, lo) <= 2^-1075 and F(q, hi) > 0, so
+    |F(q, p)| <= max |dF/dp| ulp(p) + 2^-1075 <= m2^2 2^-53 + 2^-1075: on
+    the unit square dF/dp is a difference of two sums of non-negative terms,
+    the larger at most m2^2.  That is below implicit_derivative's 1e-8 for
+    m2 <= 9 000, and past it p is still one of the two floats next to the root.
     """
     n_samples = to_index(n_samples, "need at least 2 samples, below sys.maxsize", low=2)
     if (cond.m1, cond.m2) == (0, 1):
@@ -446,14 +495,5 @@ def trace_curve(cond, n_samples):
             qv, pv = q_hi, 0.0
         else:
             pv = solve_p_for_q(cond, qv)
-        f = _FixedQ(cond, qv)
-        if pv is None:
-            raise ConsistencyError(
-                f"curve for {cond} lost at q={qv}: F(q, p) > 0 at both ends of "
-                f"[0, q], F(q, 0) = {f(0.0):.3g}")
-        r, dq, dp = f.partials(pv)
-        if abs(r) >= _ON_CURVE_TOL:
-            raise ConsistencyError(f"sample ({qv}, {pv}) off the {cond} curve: "
-                                   f"|F| = {abs(r):.3g} >= {_ON_CURVE_TOL:.0e}")
-        samples.append(CurvePoint(qv, pv, _slope(cond, qv, pv, dq, dp)))
+        samples.append(CurvePoint(qv, pv, _slope(cond, qv, pv)))
     return CurveTrace(cond, tuple(samples))
