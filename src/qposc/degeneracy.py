@@ -369,8 +369,9 @@ def _dphi(cond, x):
 def _slope(cond, q, p, partials=None):
     """dp/dq at the curve point (q, p).  Off the axes and off the band
     |q - p| < 2 / max(m2 + 1, 32) around the diagonal it is the float ratio
-    phi'(q) / phi'(p) (_dphi), which needs no exact state; elsewhere it is
-    -(dF/dq) / (dF/dp) from the exact partials, the caller's or
+    phi'(q) / phi'(p) (_dphi), which needs no exact state, or its limit -inf
+    where float phi'(p) underflows to 0 (p ~ 1e-10 on a high pair); else it
+    is -(dF/dq) / (dF/dp) from the exact partials, the caller's or
     _FixedQ.partials', and a vertical tangent gives -inf (or +inf).
 
     p is within an ulp of the curve, and each form carries that error into
@@ -385,8 +386,7 @@ def _slope(cond, q, p, partials=None):
     corner, which a band of width 2 / (m2 + 1) keeps out."""
     if q and p and abs(q - p) >= 2.0 / max(cond.m2 + 1, 32):
         dphi_p = _dphi(cond, p)
-        if dphi_p:  # else phi'(p) underflows, as at p ~ 1e-10 on a high pair
-            return _dphi(cond, q) / dphi_p + 0.0
+        return _dphi(cond, q) / dphi_p + 0.0 if dphi_p else -math.inf
     _, dq, dp = partials or _FixedQ(cond, q).partials(p)
     if dp == 0.0:
         if dq == 0.0:
@@ -412,8 +412,8 @@ def _monomial_scale(cond, q, p):
 
 
 def implicit_derivative(cond, point):
-    """Curve slope dp/dq = -(dF/dq)/(dF/dp) at a point on the curve, by
-    _slope's rule.
+    """Curve slope dp/dq at a point on the curve, by _slope's rule: -F_q/F_p
+    in its band and on the axes, else phi'(q) / phi'(p), or its limit -inf.
 
     The point must satisfy |residual| < 1e-8, and |residual| <= 1e-8 times
     the sum of |monomials| of F (_monomial_scale): near q = 0 a high pair's

@@ -12,9 +12,9 @@ class DomainError(ValueError):
 
 
 class ConsistencyError(RuntimeError):
-    """Raised when a solver detects a state that contradicts the model's
-    structural guarantees (e.g. a curve sample whose residual is not near
-    zero); the message names the measured quantity and its limit."""
+    """Raised when a solver meets a state that the model rules out: a
+    degenerate tangent, where a curve sample's dF/dq and dF/dp are both 0;
+    the message names the pair and the point."""
 
 
 def to_float(value, name):

@@ -11,8 +11,8 @@ import mpmath
 import pytest
 
 import qposc.degeneracy
-from qposc import (DegeneracyCondition, DeformationPoint, implicit_derivative, solve_p_for_q,
-                   trace_curve)
+from qposc import (DegeneracyCondition, DeformationPoint, energy_spectrum, implicit_derivative,
+                   solve_p_for_q, trace_curve)
 from qposc.cli import _fmt
 
 # the curve part of the audit: interior samples of 100-sample traces
@@ -125,3 +125,48 @@ class TestSlopeAccuracy:
                     assert qposc.degeneracy._slope(cond, s.q, s.p) == s.dpdq
                     assert len(calls) == (abs(s.q - s.p) < band)
                     assert slope_error(*pair, *s) < 1e-14, (s, slope_error(*pair, *s))
+
+
+# the spectra part: (member, q, n_max, p), p the member's family_p at q,
+# pinned so that no libm value enters; rows every n <= 400, then every 10th
+SPECTRA = [("exp:0.5", 0.01, 10, "0x1.3819ad8edc843p-1"),
+           ("power:2.5", 0.97, 400, "0x1.da75ac8462007p-1"),
+           ("log:0.3", 0.9, 2000, "0x1.efd10e5293726p-1"),
+           ("exp:4", 0.999, 20_000, "0x1.fdf4c2599306ap-1"),
+           ("power:1", 0.999, 20_000, "0x1.ff7ced916872bp-1")]
+# the float recurrence's rounding error grows with n, to 2.5e-14 relative
+# on this grid, and these rows print a wrong last digit (CHANGES.md, FOUND)
+SPECTRA_WRONG = {("exp:4", n) for n in (10_580, 11_060, 12_180, 15_170, 15_430, 15_580, 16_930)}
+SPECTRA_WRONG.add(("power:1", 7_610))
+
+
+def spectrum_reference(q, p, n_max):
+    """E_0 .. E_n_max from the same floats by the bracket recurrence
+    [[n+1]] = q [[n]] + p^n, E_n = ([[n]] + [[n+1]]) / 2, at 50 digits."""
+    q, p = mpmath.mpf(q), mpmath.mpf(p)
+    energies, lower, p_pow = [], mpmath.mpf(0), mpmath.mpf(1)
+    for _ in range(n_max + 1):
+        upper = q * lower + p_pow
+        energies.append((upper + lower) / 2)
+        lower, p_pow = upper, p_pow * p
+    return energies
+
+
+class TestSpectraAudit:
+    def test_every_printed_energy_of_the_grid_is_right_but_the_pinned_rows(self):
+        wrong, ties, checked = set(), 0, 0
+        with mpmath.workdps(50):
+            for label, q, n_max, p in SPECTRA:
+                p = float.fromhex(p)
+                got = energy_spectrum(n_max, DeformationPoint(q, p))
+                for n, want in enumerate(spectrum_reference(q, p, n_max)):
+                    if n > 400 and n % 10:
+                        continue
+                    allowed = right_strings(want)
+                    ties += len(allowed) > 1
+                    checked += 1
+                    if _fmt(got[n]) not in allowed:
+                        wrong.add((label, n))
+        assert checked == 5_695
+        assert wrong == SPECTRA_WRONG, sorted(wrong ^ SPECTRA_WRONG)
+        assert ties == 2, ties

@@ -457,13 +457,16 @@ class TestImplicitDerivative:
         with pytest.raises(DomainError, match="dF/dq = 0, dF/dp = 0"):
             implicit_derivative(DegeneracyCondition(40, 41), DeformationPoint(0.0, 1e-10))
 
-    def test_underflowed_phi_prime_falls_back_to_the_partials(self):
-        # (1 - 2^-53, 1e-10) passes the on-curve test of (40, 41), far off the
-        # diagonal, but phi'(1e-10) underflows to 0 in floats, so the slope is
-        # -F_q/F_p rather than a division by zero
-        cond, point = DegeneracyCondition(40, 41), DeformationPoint(1.0 - 2.0 ** -53, 1e-10)
-        _, dq, dp = _FixedQ(cond, point.q).partials(point.p)
-        assert implicit_derivative(cond, point) == -dq / dp
+    @pytest.mark.parametrize("p", [1e-10, 1e-8])
+    def test_underflowed_phi_prime_gives_the_ratios_limit(self, monkeypatch, p):
+        # (1 - 2^-53, p) lies within 1.1e-16 of the (40, 41) curve, far off
+        # the diagonal; phi'(1e-10) underflows to 0 in floats and phi'(1e-8)
+        # is subnormal, so phi'(q) / phi'(p) is -inf, its limit.  -F_q/F_p
+        # there has the wrong sign (+9.0e15 at 1e-10): F_p is -2.2e-16
+        cond, point = DegeneracyCondition(40, 41), DeformationPoint(1.0 - 2.0 ** -53, p)
+        assert implicit_derivative(cond, point) == -math.inf
+        monkeypatch.delattr(_FixedQ, "partials")  # the ratio needs no exact state
+        assert qposc.degeneracy._slope(cond, point.q, point.p) == -math.inf
 
     def test_trace_slopes_are_implicit_derivatives(self):
         # one slope rule serves both: every sample's dpdq is

@@ -19,22 +19,23 @@ checks that report against the grid report of the same map, over the whole
 positive float range of each parameter.  Each in-family root is a sign
 change of the exact g(q) = F(q, f(q)), the one that bisecting g over the
 whole bracket finds wherever that sign change is unique, and the intercept
-grid is the grid of integer indices bit for bit.  The last three tests check the
+grid is the grid of integer indices bit for bit.  The last four tests check the
 curve inversion that all of these rest on: every p that solve_p_for_q
-returns is certified by the residual itself, and the fixed-q state through
-which every evaluation of F goes gives F and its partials bit for bit as
-the exact quotients over q's and p's common denominator.
+returns is certified by the residual itself, no slope of a point in the
+open square that implicit_derivative accepts is positive, and the fixed-q
+state through which every evaluation of F goes gives F and its partials bit
+for bit as the exact quotients over q's and p's common denominator.
 """
 
 import math
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qposc import (CustomFamily, DeformationPoint, DegeneracyCondition, DomainError,
                    ExpFamily, LogFamily, PowerFamily, endpoint_q, family_energy, family_p,
-                   intercept_curve, peak_level, residual, solve_degeneracy_on_family,
-                   solve_p_for_q, validate_family)
+                   implicit_derivative, intercept_curve, peak_level, residual,
+                   solve_degeneracy_on_family, solve_p_for_q, validate_family)
 from qposc.degeneracy import _FixedQ, bisect_bracket
 from qposc.families import _family_ps
 
@@ -255,6 +256,26 @@ def test_the_residual_certifies_the_diagonal_crossing_and_the_curve_ends():
             p = solve_p_for_q(cond, q)
             assert p is None or certified(cond, q, p), (cond, q, p)
             q = math.nextafter(q, 0.0)
+
+
+# near q = 1 every F(q, p) is about phi(q) / (q - p), tiny for every p, so
+# many of these points pass implicit_derivative's on-curve test, some with
+# p so small that float phi'(p) underflows
+@PROPERTY
+@example(pair=(40, 41), k=53, p=1e-10, swap=False)
+@given(pair=level_pairs, k=st.integers(20, 53),
+       p=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+       | st.floats(1.0, 300.0).map(lambda u: 10.0 ** -u),
+       swap=st.booleans())
+def test_every_interior_slope_is_non_positive(pair, k, p, swap):
+    # each curve is a decreasing p(q), so no slope is positive; -inf is allowed
+    q = 1.0 - 2.0 ** -k
+    point = DeformationPoint(p, q) if swap else DeformationPoint(q, p)
+    try:
+        slope = implicit_derivative(DegeneracyCondition(*pair), point)
+    except DomainError:  # off the curve, or no finite dF/dp
+        return
+    assert slope <= 0.0, (point, slope)
 
 
 # F's exact integers across binades: the ends of [0, 1], the smallest
