@@ -28,18 +28,20 @@ Off the diagonal the curve is L(p) = L(q), and
 sign F(q, p) = sign((L(p) - L(q)) / (q - p)).  Every p-root, endpoint_q's
 too, is estimated by Newton on L, and F has the last word.  Floats are
 dyadic rationals, so the identity gives F exactly as a quotient of Python
-ints, rounded once: every computed sign of F is its true sign, and the
-root is the one pair of adjacent floats at which that sign changes.  A
-walk from Newton's estimate towards the root, in steps that double from
-one ulp, brackets it and bisect_bracket finishes it (_root), halving at
-one midpoint rule (_mid).  Every evaluation of F goes through one fixed-q
-state, _FixedQ: it computes q's half of those integers, phi(q) and
-phi'(q), once, from one pair of big powers (_phi_pair), and each F(q, p)
-computes p's half alone.  Its partials give the curve slope only near the
-diagonal, |q - p| < 2 / max(m2 + 1, 32), and on the axes; elsewhere the
-slope is the float ratio phi'(q) / phi'(p), where -F_q/F_p at the float p
-loses digits towards the (0, 1) corner.  _slope derives the band: either
-way the slope is within about twice max(m1 + m2, 32) ulps of the curve's.
+ints, and F's sign is read from them with no division, exact everywhere
+(a subnormal |F| too): the root is the one pair of adjacent floats at
+which that sign changes, and residual and the partials keep correctly
+rounded values.  A walk from Newton's estimate towards the root, in steps
+that double from one ulp, brackets it and bisect_bracket finishes it
+(_root), halving at one midpoint rule (_mid).  Every evaluation of F goes
+through one fixed-q state, _FixedQ: it computes q's half of those
+integers, phi(q) and phi'(q), once, from one pair of big powers
+(_phi_pair), and each F(q, p) computes p's half alone.  Its partials give
+the curve slope only near the diagonal, |q - p| < 2 / max(m2 + 1, 32),
+and on the axes; elsewhere the slope is the float ratio phi'(q) / phi'(p),
+where -F_q/F_p at the float p loses digits towards the (0, 1) corner.
+_slope derives the band: either way the slope is within about twice
+max(m1 + m2, 32) ulps of the curve's.
 
 An in-family degeneracy is where a line p = f(q), non-decreasing with
 f(1) = 1, crosses a curve: the sign change of g(q) = F(q, f(q)) on
@@ -122,12 +124,13 @@ def _phi_pair(cond, n, e):
 
 
 class _FixedQ:
-    """F(q, .) for one q, correctly rounded, from the one set of F's exact
-    integers: Phi(n_q) and Phi'(n_q) at q's own denominator 2^e_q, computed
-    once.  At p, N = F(q, p) 2^(e m2) is (Phi(n_q) - Phi(n_p)) / (n_q - n_p)
-    off the diagonal and Phi'(n) on it, over the common denominator 2^e;
-    CPython's int / int rounds N / 2^(e m2) correctly, so its sign is F's
-    own unless |F| <= 2^-1075 rounds to 0.0."""
+    """F(q, .) for one q from the one set of F's exact integers: Phi(n_q)
+    and Phi'(n_q) at q's own denominator 2^e_q, computed once.  At p,
+    N = F(q, p) 2^(e m2) is (Phi(n_q) - Phi(n_p)) / (n_q - n_p) off the
+    diagonal, an exact integer quotient, and Phi'(n) on it, over the common
+    denominator 2^e.  A call returns F's sign from those integers with no
+    division, exact everywhere, subnormal |F| too; partials rounds N and the
+    derivatives' numerators correctly (CPython's int / int)."""
 
     __slots__ = ("cond", "nq", "eq", "phi", "dphi")
 
@@ -150,11 +153,14 @@ class _FixedQ:
         return self.nq << s, self.phi << s * (m2 + 1), self.dphi << s * m2, np_, e
 
     def __call__(self, p):
-        """F(q, p); each evaluation computes Phi(n_p) alone."""
+        """The sign of F(q, p), -1, 0 or 1: that of Phi'(n) on the diagonal,
+        else that of Phi(n_q) - Phi(n_p), flipped where n_q < n_p.  Each
+        evaluation computes Phi(n_p) alone."""
         nq, phi, dphi, np_, e = self._align(p)
         if nq == np_:
-            return dphi / (1 << e * self.cond.m2)
-        return (phi - _phi_int(self.cond, np_, e)) // (nq - np_) / (1 << e * self.cond.m2)
+            return (dphi > 0) - (dphi < 0)
+        n = phi - _phi_int(self.cond, np_, e)
+        return (n > 0) - (n < 0) if nq > np_ else (n < 0) - (n > 0)
 
     def partials(self, p):
         """(F, dF/dq, dF/dp) at p, from Phi and Phi' at n_p (_phi_pair): off
@@ -172,8 +178,9 @@ class _FixedQ:
 
 
 def residual(cond, point):
-    """Degeneracy residual at the given point; zero iff E_{m1} == E_{m2}."""
-    return _FixedQ(cond, point.q)(point.p)
+    """Degeneracy residual F at the given point, correctly rounded: zero iff
+    E_{m1} == E_{m2}, or |F| is at most half the smallest positive double."""
+    return _FixedQ(cond, point.q).partials(point.p)[0]
 
 
 def _log_neg_phi(cond, x):
@@ -276,10 +283,10 @@ def _mid(lo, hi):
 def bisect_bracket(f, lo, hi):
     """Shrink [lo, hi], 0 <= lo < hi, where f(lo) <= 0 < f(hi), to two
     adjacent floats and return them as (lo, hi), halving at _mid.  The ends'
-    signs are the caller's, from the model; the ends are never evaluated, as
-    near a root, or where f underflows to 0.0, their computed signs can be
-    wrong.  f(mid) > 0 makes mid hi and any other value, 0.0 too, lo; there
-    is no tolerance."""
+    signs are the caller's, from the model, and the ends are never
+    evaluated: an end can be the root itself, as p = 1 is at q = 0, where
+    F(0, 1) = 0.  f(mid) > 0 makes mid hi and any other sign, 0 too, lo;
+    there is no tolerance."""
     while True:
         mid = _mid(lo, hi)
         if not lo < mid < hi:  # lo and hi are adjacent floats
@@ -473,11 +480,11 @@ def trace_curve(cond, n_samples):
     F(q_m, 0) <= 0 at the float q_m that endpoint_q returns, above every
     interior q = q_m i / last (rounding is monotone, and last < 2^53 in any
     trace that fits in memory).  The p it returns is one of two adjacent
-    floats lo < hi with F(q, lo) <= 2^-1075 and F(q, hi) > 0, so
-    |F(q, p)| <= max |dF/dp| ulp(p) + 2^-1075 <= m2^2 2^-53 + 2^-1075: on
-    the unit square dF/dp is a difference of two sums of non-negative terms,
-    the larger at most m2^2.  That is below implicit_derivative's 1e-8 for
-    m2 <= 9 000, and past it p is still one of the two floats next to the root.
+    floats lo < hi with F(q, lo) <= 0 < F(q, hi), by exact signs, so
+    |F(q, p)| <= max |dF/dp| ulp(p) <= m2^2 2^-53: on the unit square dF/dp
+    is a difference of two sums of non-negative terms, the larger at most
+    m2^2.  That is below implicit_derivative's 1e-8 for m2 <= 9 000, and
+    past it p is still one of the two floats next to the root.
     """
     n_samples = to_index(n_samples, "need at least 2 samples, below sys.maxsize", low=2)
     if (cond.m1, cond.m2) == (0, 1):

@@ -5,6 +5,7 @@ import math
 import random
 import statistics
 from collections import Counter
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -15,8 +16,8 @@ from hypothesis import strategies as st
 import qposc.degeneracy
 from qposc import (ConsistencyError, CurveTrace, DeformationPoint,
                    DegeneracyCondition, DomainError, ExpFamily, LogFamily, PowerFamily,
-                   endpoint_q, energy_level, implicit_derivative, parse_family, residual,
-                   solve_degeneracy_on_family, solve_p_for_q, trace_curve)
+                   endpoint_q, energy_level, family_p, implicit_derivative, parse_family,
+                   residual, solve_degeneracy_on_family, solve_p_for_q, trace_curve)
 from qposc.degeneracy import _FixedQ, _phi_int, _phi_pair, bisect_bracket
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -157,18 +158,72 @@ class TestExactResidual:
         p = q if diagonal else p
         if q or p:  # DeformationPoint excludes the corner (0, 0)
             assert_correctly_rounded(residual(cond, DeformationPoint(q, p)), cond, q, p)
-        state = _FixedQ(cond, q)
-        assert_correctly_rounded(state(p), cond, q, p)
-        f, dq, dp = state.partials(p)
+        f, dq, dp = _FixedQ(cond, q).partials(p)
         assert_correctly_rounded(f, cond, q, p)
         assert_correctly_rounded(dq, cond, q, p, dq=True)
         assert_correctly_rounded(dp, cond, p, q, dq=True)
 
     def test_the_oracle_rejects_a_neighbouring_double(self):
         cond = DegeneracyCondition(3, 7)
-        got = _FixedQ(cond, 0.3)(0.7)
+        got = residual(cond, DeformationPoint(0.3, 0.7))
         with pytest.raises(AssertionError, match="correctly rounded"):
             assert_correctly_rounded(math.nextafter(got, 0.0), cond, 0.3, 0.7)
+
+
+def fraction_sign(cond, q, p):
+    """The sign of F = [[m2+1]] + [[m2]] - [[m1+1]] - [[m1]] at the floats q
+    and p as exact rationals, [[k]] = sum_{r<k} q^(k-1-r) p^r summed by
+    [[k+1]] = q [[k]] + p^k: built from the brackets, not from Phi."""
+    q, p = Fraction(q), Fraction(p)
+    brackets, bracket, p_pow = [], Fraction(0), Fraction(1)
+    for _ in range(cond.m2 + 2):
+        brackets.append(bracket)
+        bracket, p_pow = q * bracket + p_pow, p_pow * p
+    f = brackets[cond.m2 + 1] + brackets[cond.m2] - brackets[cond.m1 + 1] - brackets[cond.m1]
+    return (f > 0) - (f < 0)
+
+
+def ulps_away(x, k):
+    """The float k steps from x towards +inf (k < 0: -inf), kept in [0, 1]."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return min(max(x, 0.0), 1.0)
+
+
+sign_pairs = st.integers(1, 60).flatmap(
+    lambda m2: st.tuples(st.integers(0, m2 - 1), st.just(m2)))
+# the ends, the smallest subnormals, the largest subnormal and smallest
+# normal, any other subnormal, and uniform draws
+sign_values = st.one_of(
+    st.sampled_from([0.0, 1.0, 5e-324, 1e-323, math.nextafter(2.0 ** -1022, 0.0), 2.0 ** -1022]),
+    st.integers(1, 2 ** 52 - 1).map(lambda n: n * 5e-324), st.floats(0.0, 1.0))
+
+
+class TestExactSign:
+    """A call of the fixed-q state is F's exact sign, from its integers."""
+
+    @PROPERTY
+    @given(pair=sign_pairs, q=sign_values, p=sign_values,
+           where=st.sampled_from(["free", "diagonal", "root"]), step=st.integers(-2, 2))
+    def test_a_call_is_the_exact_sign_of_f(self, pair, q, p, where, step):
+        # "root" moves p to within two floats of the p-root at q, if any
+        cond = DegeneracyCondition(*pair)
+        if where == "diagonal":
+            p = q
+        elif where == "root":
+            root = solve_p_for_q(cond, q)
+            p = p if root is None else ulps_away(root, step)
+        got = _FixedQ(cond, q)(p)
+        assert type(got) is int and got == fraction_sign(cond, q, p), (q, p, got)
+
+    @pytest.mark.parametrize("q, p", [(1e-10, 1e-10), (1e-10, 2e-10)])
+    def test_the_sign_is_exact_where_the_residual_underflows(self, q, p):
+        # F is about -1e-400 here: its correctly rounded value is -0.0
+        cond = DegeneracyCondition(40, 41)
+        r = residual(cond, DeformationPoint(q, p))
+        assert r == 0.0 and math.copysign(1.0, r) == -1.0
+        assert fraction_sign(cond, q, p) == -1
+        assert _FixedQ(cond, q)(p) == -1
 
 
 def phi_derivative_reference(cond, n, e, j):
@@ -846,12 +901,11 @@ class TestRootHelpers:
         assert 1 <= len(calls) <= 70, len(calls)
 
     def test_curve_ends_match_a_whole_bracket_bisection(self):
-        # F(x, 0) = x^m + x^(m-1) - 1 is increasing and computed exactly,
-        # rounded once, so its computed value is non-decreasing in x: exactly
-        # one pair of adjacent floats has F(lo, 0) <= 0 < F(hi, 0) and every
-        # bracket shrink that keeps those signs ends on it.  For m1 >= 1 the
-        # computed F(0, p) is <= 0 on [0, 1), so the q = 0 p-root is 1.0 on
-        # any path.
+        # F(x, 0) = x^m + x^(m-1) - 1 is increasing and its sign is exact:
+        # exactly one pair of adjacent floats has F(lo, 0) <= 0 < F(hi, 0)
+        # and every bracket shrink that keeps those signs ends on it.  For
+        # m1 >= 1, F(0, p) <= 0 on [0, 1), so the q = 0 p-root is 1.0 on any
+        # path.
         for m in range(2, 121):
             cond = DegeneracyCondition(0, m)
             lo, _ = bisect_bracket(lambda x: _FixedQ(cond, x)(0.0), 0.0, 1.0)
@@ -931,3 +985,18 @@ class TestInFamilyEvaluations:
         q_star = solve_degeneracy_on_family(parse_family("log:0.0014"), DegeneracyCondition(0, 2))
         assert 1e-120 < q_star < 1e-118
         assert 1 <= len(calls) <= 20, len(calls)
+
+    def test_the_p_equals_one_plateau_ends_at_the_members_step(self, monkeypatch):
+        # the computed power:1.41514e-18 is 1.0 from q about 9.2066e-18 up,
+        # where g = F(q, 1.0) = phi(q) / (q - 1) > 0 is far below the
+        # smallest double; below that step it is 1 - 2^-53, where g < 0
+        fam, cond = PowerFamily(1.41514e-18), DegeneracyCondition(50, 54)
+        calls = count_residuals(monkeypatch)
+        q_star = solve_degeneracy_on_family(fam, cond)
+        assert 1 <= len(calls) <= 20, len(calls)
+        assert q_star == pytest.approx(9.2066e-18, rel=1e-4)
+        a, b = qposc.degeneracy._crossing(cond, lambda q: family_p(fam, q), fam.domain_low)
+        assert q_star == 0.5 * (a + b) and math.nextafter(a, 1.0) == b
+        g_a, g_b = (fraction_sign(cond, x, family_p(fam, x)) for x in (a, b))
+        assert g_a <= 0 < g_b, (a, b)
+        assert (family_p(fam, a), family_p(fam, b)) == (1.0 - 2.0 ** -53, 1.0)

@@ -22,9 +22,10 @@ whole bracket finds wherever that sign change is unique, and the intercept
 grid is the grid of integer indices bit for bit.  The last four tests check the
 curve inversion that all of these rest on: every p that solve_p_for_q
 returns is certified by the residual itself, no slope of a point in the
-open square that implicit_derivative accepts is positive, and the fixed-q
-state through which every evaluation of F goes gives F and its partials bit
-for bit as the exact quotients over q's and p's common denominator.
+open square that implicit_derivative accepts is positive, and the residual
+and the partials of the fixed-q state through which every evaluation of F
+goes are, bit for bit, the correctly rounded exact quotients over q's and
+p's common denominator.
 """
 
 import math
@@ -332,6 +333,7 @@ def test_the_fixed_q_residual_is_the_residual_bit_for_bit(pair, q, p, diagonal):
     p = q if diagonal else p
     f = _FixedQ(cond, q)
     want = reference_partials(cond, q, p)
-    assert f(p).hex() == want[0].hex()
-    assert f(q).hex() == reference_partials(cond, q, q)[0].hex()
+    if q or p:  # DeformationPoint excludes the corner (0, 0)
+        assert residual(cond, DeformationPoint(q, p)).hex() == want[0].hex()
+    assert f.partials(q)[0].hex() == reference_partials(cond, q, q)[0].hex()
     assert list(map(float.hex, f.partials(p))) == list(map(float.hex, want))
