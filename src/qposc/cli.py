@@ -14,14 +14,14 @@ superdiagonal of A, in O(dim), without building the matrices).
 
 Exit codes: 0 success, 1 usage/parse error or an --out file that cannot be
 written (one 'qposc: cannot write ...' line on stderr, nothing on stdout),
-2 domain error, 3 solver consistency error.
+2 domain error.
 """
 
 import argparse
 import sys
 
 from . import __version__
-from .errors import ConsistencyError, DomainError
+from .errors import DomainError
 
 
 def _fmt(x):
@@ -150,9 +150,6 @@ def main(argv=None):
     except DomainError as exc:
         print(f"qposc: domain error: {exc}", file=sys.stderr)
         return 2
-    except ConsistencyError as exc:
-        print(f"qposc: consistency error: {exc}", file=sys.stderr)
-        return 3
     except ValueError as exc:
         print(f"qposc: {exc}", file=sys.stderr)
         return 1

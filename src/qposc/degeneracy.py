@@ -55,7 +55,7 @@ import math
 import sys
 from typing import NamedTuple, Optional
 
-from .errors import ConsistencyError, DomainError, Record, to_float, to_index
+from .errors import DomainError, Record, to_float, to_index
 
 GROUND = "ground"
 NEIGHBOR = "neighbor"
@@ -205,9 +205,10 @@ def _estimate_p(cond, q, lo, hi):
     [0, q].  The start is on that side by a bound on L: L(p) < ln(2d(1 - p))
     on [q, 1], L(p) < log1p(q) + m1 ln p on [0, q] for m1 > 0, and
     L(p) < log1p(p) for m1 = 0.  Steps stop when they no longer move the
-    estimate that way, or leave the bracket; F decides the root.  At q = 0
-    a pair with m1 > 0 has L(0) = -inf, so the start rounds to hi = 1.0,
-    the root, as F(0, p) <= 0 on [0, 1).
+    estimate that way, or leave the bracket; F decides the root.  A start
+    at hi takes no step, as L' there is NaN (hi = 1.0) or points away (a
+    rising-branch q): at q = 0 a pair with m1 > 0 has L(0) = -inf, so the
+    start rounds to hi = 1.0, the root, as F(0, p) <= 0 on [0, 1).
     """
     lq = _log_neg_phi(cond, q)[0]
     if lo == q:  # [q, 1]: q is on the falling branch of phi
@@ -216,9 +217,7 @@ def _estimate_p(cond, q, lo, hi):
         x, s = math.exp((lq - math.log1p(q)) / cond.m1), 1.0
     else:
         x, s = math.expm1(lq), 1.0
-    if x == hi:  # the start rounds to the bracket end, e.g. p = 1.0
-        return x
-    if not lo < x < hi:
+    if not lo < x <= hi:
         return None
     for _ in range(64):  # a cap, not a tolerance: F certifies what is left
         lx, dl = _log_neg_phi(cond, x)
@@ -379,7 +378,12 @@ def _slope(cond, q, p, partials=None):
     phi'(q) / phi'(p) (_dphi), which needs no exact state, or its limit -inf
     where float phi'(p) underflows to 0 (p ~ 1e-10 on a high pair); else it
     is -(dF/dq) / (dF/dp) from the exact partials, the caller's or
-    _FixedQ.partials', and a vertical tangent gives -inf (or +inf).
+    _FixedQ.partials', or -inf where dF/dp = 0: the curve is a decreasing
+    graph p(q), so that is a vertical tangent, and never dF/dq = 0 too.
+    implicit_derivative rejects dF/dp = 0, and trace_curve meets it only at
+    the (1, 0) end of a pair with m1 >= 2, where dF/dq = phi'(1) =
+    2 (m2 - m1) > 0: in the band dF/dp ~ phi''(x*) / 2 > 0, and on the axes
+    dF/dp > 0 elsewhere.
 
     p is within an ulp of the curve, and each form carries that error into
     the slope s.  The ratio's relative error is |phi''(p) / phi'(p)| ulp(p),
@@ -395,12 +399,7 @@ def _slope(cond, q, p, partials=None):
         dphi_p = _dphi(cond, p)
         return _dphi(cond, q) / dphi_p + 0.0 if dphi_p else -math.inf
     _, dq, dp = partials or _FixedQ(cond, q).partials(p)
-    if dp == 0.0:
-        if dq == 0.0:
-            raise ConsistencyError(f"degenerate tangent for {cond} at ({q}, {p}): "
-                                   f"dF/dq = dF/dp = 0")
-        return -math.inf if dq > 0.0 else math.inf
-    return -dq / dp + 0.0  # + 0.0 normalizes -0.0
+    return -dq / dp + 0.0 if dp else -math.inf  # + 0.0 normalizes -0.0
 
 
 def _monomial_scale(cond, q, p):

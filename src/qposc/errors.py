@@ -12,9 +12,8 @@ class DomainError(ValueError):
 
 
 class ConsistencyError(RuntimeError):
-    """Raised when a solver meets a state that the model rules out: a
-    degenerate tangent, where a curve sample's dF/dq and dF/dp are both 0;
-    the message names the pair and the point."""
+    """A solver state that the model rules out.  Exported for compatibility
+    (qposc.__all__), as EPS_EQUAL is; no code path raises it."""
 
 
 def to_float(value, name):

@@ -212,6 +212,18 @@ def test_every_private_module_level_name_is_used():
     assert unused == {}
 
 
+def test_no_module_raises_consistency_error():
+    # ConsistencyError is exported for compatibility only: the CLI maps it to
+    # no exit code, so a raise of it would end a qposc process in a traceback
+    raises = [f"{path.name}:{node.lineno}"
+              for path in sorted((SRC / "qposc").glob("*.py"))
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.Raise) and node.exc is not None
+              and "ConsistencyError" in {getattr(sub, "id", getattr(sub, "attr", None))
+                                         for sub in ast.walk(node.exc)}]
+    assert raises == []
+
+
 def test_dir_lists_public_and_submodule_names():
     assert set(qposc.__all__) | set(SUBMODULES) <= set(dir(qposc))
 

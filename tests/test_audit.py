@@ -12,8 +12,8 @@ import pytest
 
 import qposc.degeneracy
 from qposc import (DegeneracyCondition, DeformationPoint, energy_spectrum, implicit_derivative,
-                   solve_p_for_q, trace_curve)
-from qposc.cli import _fmt
+                   intercept_curve, parse_family, solve_p_for_q, trace_curve)
+from qposc.cli import _fmt, main
 
 # the curve part of the audit: interior samples of 100-sample traces
 CURVE_PAIRS = [(0, 2), (0, 3), (0, 4), (0, 6), (1, 2), (2, 3), (4, 5), (7, 8), (12, 13),
@@ -140,16 +140,20 @@ SPECTRA_WRONG = {("exp:4", n) for n in (10_580, 11_060, 12_180, 15_170, 15_430, 
 SPECTRA_WRONG.add(("power:1", 7_610))
 
 
+def mp_brackets(q, p, k_max):
+    """[[0]] .. [[k_max]] by [[k+1]] = q [[k]] + p^k."""
+    brackets, p_pow = [mpmath.mpf(0)], mpmath.mpf(1)
+    for _ in range(k_max):
+        brackets.append(q * brackets[-1] + p_pow)
+        p_pow *= p
+    return brackets
+
+
 def spectrum_reference(q, p, n_max):
-    """E_0 .. E_n_max from the same floats by the bracket recurrence
-    [[n+1]] = q [[n]] + p^n, E_n = ([[n]] + [[n+1]]) / 2, at 50 digits."""
-    q, p = mpmath.mpf(q), mpmath.mpf(p)
-    energies, lower, p_pow = [], mpmath.mpf(0), mpmath.mpf(1)
-    for _ in range(n_max + 1):
-        upper = q * lower + p_pow
-        energies.append((upper + lower) / 2)
-        lower, p_pow = upper, p_pow * p
-    return energies
+    """E_0 .. E_n_max from the same floats by the bracket recurrence,
+    E_n = ([[n]] + [[n+1]]) / 2, at 50 digits."""
+    b = mp_brackets(mpmath.mpf(q), mpmath.mpf(p), n_max + 1)
+    return [(b[n + 1] + b[n]) / 2 for n in range(n_max + 1)]
 
 
 class TestSpectraAudit:
@@ -170,3 +174,104 @@ class TestSpectraAudit:
         assert checked == 5_695
         assert wrong == SPECTRA_WRONG, sorted(wrong ^ SPECTRA_WRONG)
         assert ties == 2, ties
+
+
+def mp_member(label):
+    """(domain_low, f) of the exact member: its map in mpmath, with the
+    float parameter that parse_family reads as an exact value."""
+    kind, value = label.split(":")
+    a = mpmath.mpf(float(value))
+    if kind == "power":
+        return mpmath.mpf(0), lambda q: q ** a
+    if kind == "exp":
+        return mpmath.mpf(0), lambda q: mpmath.exp(a * (q - 1))
+    return mpmath.exp(-1 / a), lambda q: 1 + a * mpmath.log(q)
+
+
+def crossing_reference(label, m1, m2):
+    """(q*, p*, E_m1, E_m2) where the exact member's line crosses the curve,
+    or None where it does not: g(q) = F(q, f(q)) rises through 0 at most
+    once on [lo, 1], to g(1) = 2 (m2 - m1), and crosses iff g(lo) <= 0
+    (g(0) = F(0, 0) = 0 for m1 >= 2, where the curve starts at (0, 1),
+    above the line).  Bisection, geometric while hi > 16 lo, to 1e-45."""
+    lo, f = mp_member(label)
+
+    def g(q):
+        b = mp_brackets(q, f(q), m2 + 1)
+        return b[m2 + 1] + b[m2] - b[m1 + 1] - b[m1]
+
+    if g(lo) > 0:
+        return None
+    hi = mpmath.mpf(1)
+    while hi - lo > hi * mpmath.mpf("1e-45"):
+        mid = (lo + hi) / 2 if hi <= 16 * lo else mpmath.sqrt(max(lo, mpmath.mpf("1e-400")) * hi)
+        lo, hi = (lo, mid) if g(mid) > 0 else (mid, hi)
+    q = (lo + hi) / 2
+    b = mp_brackets(q, f(q), m2 + 1)
+    return q, f(q), (b[m1] + b[m1 + 1]) / 2, (b[m2] + b[m2 + 1]) / 2
+
+
+# the solve part: the README's three rows, the ground pairs (0,2)..(0,5) of
+# two members that admit only (0,5), and members whose p lies within 1e-12
+# of 1, where the float 1 - f(q) keeps few digits
+SOLVE = [("power:1", 0, 2), ("log:6.05", 0, 2), ("exp:0.5", 3, 4),
+         ("log:6.05", 0, 3), ("log:6.05", 0, 4), ("log:6.05", 0, 5),
+         ("exp:0.1653", 0, 2), ("exp:0.1653", 0, 3), ("exp:0.1653", 0, 4),
+         ("exp:0.1653", 0, 5),
+         ("exp:1e-12", 1, 2), ("exp:1e-16", 80, 81), ("power:1e-16", 80, 81),
+         ("power:1e-17", 5, 6), ("exp:1e-17", 5, 6), ("power:2.5", 0, 5)]
+SOLVE_COLUMNS = ("q_star", "p_star", "E_m1", "E_m2")
+# 1 - p keeps few digits where p lies within 1e-12 of 1: these rows print a
+# wrong q*, with the energies that follow from it, and exp:1e-17 (5, 6)
+# prints none (CHANGES.md, FOUND)
+SOLVE_WRONG = {("exp:1e-12", 1, 2, "q_star")}
+SOLVE_WRONG.update(("exp:1e-17", 5, 6, name) for name in SOLVE_COLUMNS)
+SOLVE_WRONG.update((*row, name) for name in ("q_star", "E_m1", "E_m2")
+                   for row in [("exp:1e-16", 80, 81), ("power:1e-16", 80, 81),
+                               ("power:1e-17", 5, 6)])
+
+
+class TestSolveAudit:
+    def test_every_printed_string_of_the_grid_is_right_but_the_pinned_rows(self, capsys):
+        wrong, ties, nones = set(), 0, 0
+        with mpmath.workdps(50):
+            for label, m1, m2 in SOLVE:
+                assert main(["solve", "--levels", f"{m1},{m2}", "--family", label]) == 0
+                row = capsys.readouterr().out.splitlines()[-1]
+                want = crossing_reference(label, m1, m2)
+                nones += want is None
+                got = row.split(",") if row != "none" else ["none"] * 4
+                for name, printed, value in zip(SOLVE_COLUMNS, got, want or [None] * 4):
+                    allowed = {"none"} if value is None else right_strings(value)
+                    ties += len(allowed) > 1
+                    if printed not in allowed:
+                        wrong.add((label, m1, m2, name))
+        assert nones == 6
+        assert wrong == SOLVE_WRONG, sorted(wrong ^ SOLVE_WRONG)
+        assert ties == 0, ties
+
+
+# the intercept part: 101-sample grids of members whose p lies within 1e-6
+# of 1 on part of the domain, and of log:1000, whose domain starts near 1
+INTERCEPT = ["exp:1e-12", "exp:1e-6", "power:1e-9", "log:1000"]
+# at q = 0, lambda = p - 1 is about -a, and the rounding of the float p next
+# to 1 errs by 2.2e-5 of it at a = 1e-12, 1.6e-11 at a = 1e-6 (CHANGES.md, FOUND)
+INTERCEPT_WRONG = {("exp:1e-12", 0), ("exp:1e-6", 0)}
+
+
+class TestInterceptAudit:
+    def test_every_printed_lambda_of_the_grid_is_right_but_the_pinned_rows(self):
+        # lambda = q + f(q) - 1 of the exact member at the same float q
+        wrong, ties, checked = set(), 0, 0
+        with mpmath.workdps(50):
+            for label in INTERCEPT:
+                f = mp_member(label)[1]
+                for i, (q, lam) in enumerate(intercept_curve(parse_family(label), 101).samples):
+                    allowed = right_strings(q + f(mpmath.mpf(q)) - 1)
+                    ties += len(allowed) > 1
+                    checked += 1
+                    if _fmt(lam) not in allowed:
+                        wrong.add((label, i))
+        assert checked == 4 * 101
+        assert wrong == INTERCEPT_WRONG, sorted(wrong ^ INTERCEPT_WRONG)
+        assert ties == 3, ties

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from qposc import ConsistencyError, energy_spectrum
+from qposc import energy_spectrum
 from qposc.cli import main
 
 
@@ -64,14 +64,6 @@ class TestCurveCommand:
         code, out, _ = run_cli(capsys, "curve", "--levels", "12,13")
         assert code == 0
         assert len(data_rows(out)) == 100
-
-    def test_consistency_error_exits_three(self, capsys, monkeypatch):
-        def boom(cond, n):
-            raise ConsistencyError("forced")
-        monkeypatch.setattr("qposc.degeneracy.trace_curve", boom)
-        code, _, err = run_cli(capsys, "curve", "--levels", "0,2")
-        assert code == 3
-        assert "consistency error" in err
 
 
 class TestSolveCommand:
@@ -297,12 +289,9 @@ class TestOutputContract:
         assert blob == out.encode()
         assert b"\r" not in blob
 
-    def test_failing_command_writes_nothing(self, capsys, monkeypatch, tmp_path):
-        def boom(cond, n):
-            raise ConsistencyError("forced")
-        monkeypatch.setattr("qposc.degeneracy.trace_curve", boom)  # reached by "0,2" only
+    def test_failing_command_writes_nothing(self, capsys, tmp_path):
         target = tmp_path / "table.csv"
-        for levels, expected in (("0;2", 1), ("0,0", 2), ("0,2", 3)):
+        for levels, expected in (("0;2", 1), ("0,0", 2)):
             for out in ([], ["--out", str(target)]):
                 code, stdout, err = run_cli(capsys, "curve", "--levels", levels, *out)
                 assert (code, stdout) == (expected, "")

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qposc.degeneracy
-from qposc import (ConsistencyError, CurveTrace, DeformationPoint,
+from qposc import (CurveTrace, DeformationPoint,
                    DegeneracyCondition, DomainError, ExpFamily, LogFamily, PowerFamily,
                    endpoint_q, energy_level, family_p, implicit_derivative, parse_family,
                    residual, solve_degeneracy_on_family, solve_p_for_q, trace_curve)
@@ -570,12 +570,6 @@ class TestEndpoint:
 
 
 class TestTrace:
-    def test_degenerate_tangent_raises(self, monkeypatch):
-        # both partials vanishing is a ConsistencyError, never a silent slope
-        monkeypatch.setattr(_FixedQ, "partials", lambda state, p: (0.0, 0.0, 0.0))
-        with pytest.raises(ConsistencyError, match="degenerate tangent"):
-            trace_curve(DegeneracyCondition(1, 2), 3)
-
     def test_ground_three_samples(self):
         cond = DegeneracyCondition(0, 2)
         trace = trace_curve(cond, 3)
@@ -610,6 +604,34 @@ class TestTrace:
         trace = trace_curve(DegeneracyCondition(2, 3), 3)
         assert trace.samples[0].dpdq == 0.0
         assert math.isinf(trace.samples[-1].dpdq) and trace.samples[-1].dpdq < 0
+
+    def test_partials_vanish_only_at_the_vertical_tangent_end(self, monkeypatch):
+        # _slope reads dF/dp = 0 as a vertical tangent, -inf: on every sample
+        # that takes the partials (the band and the axes), dF/dp > 0 but at
+        # the (1, 0) end of a pair with m1 >= 2, where dF/dq = phi'(1) =
+        # 2 (m2 - m1) > 0, so the two never vanish together
+        seen, partials = [], _FixedQ.partials
+
+        def recording(state, p):  # (q, p, (F, dF/dq, dF/dp))
+            seen.append((math.ldexp(state.nq, -state.eq), p, partials(state, p)))
+            return seen[-1][2]
+
+        monkeypatch.setattr(_FixedQ, "partials", recording)
+        outcomes = Counter()
+        for m1, m2 in [(0, 2), (1, 2), (2, 3), (3, 7), (5, 6), (0, 40), (2, 40), (39, 40),
+                       (0, 300), (2, 300), (299, 300), (100, 400)]:
+            for n in (101, 257):
+                seen.clear()
+                samples = trace_curve(DegeneracyCondition(m1, m2), n).samples
+                for q, p, (_, dq, dp) in seen:
+                    if dp:
+                        assert dp > 0.0, (m1, m2, q, p, dq, dp)
+                        outcomes["dF/dp > 0"] += 1
+                    else:
+                        assert (q, p, dq, m1 >= 2) == (1.0, 0.0, 2 * (m2 - m1), True)
+                        assert samples[-1].dpdq == -math.inf
+                        outcomes["end"] += 1
+        assert outcomes == Counter({"dF/dp > 0": 214, "end": 16})
 
     def test_high_ground_curve_stays_left_of_one(self):
         trace = trace_curve(DegeneracyCondition(0, 6), 7)
