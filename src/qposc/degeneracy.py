@@ -21,7 +21,7 @@ graph of a continuous, decreasing function p(q) with slope
 
 On (0, 1), -phi(x) = (1 + x) x^m1 (1 - x^d) > 0 with d = m2 - m1, so
 
-    L(x) = ln(-phi(x)) = log1p(x) + m1 ln x + ln(-expm1(d ln x))
+    L(x) = ln(-phi(x)) = log1p(x) + m1 ln x + ln(1 - x^d)
 
 costs O(1) for every pair, is concave, and peaks where phi has its minimum.
 Off the diagonal the curve is L(p) = L(q), and
@@ -191,34 +191,31 @@ def _log_neg_phi(cond, x):
     if not 0.0 < x < 1.0:
         return (0.0 if x == 0.0 and not cond.m1 else -math.inf), math.nan
     d, lx = cond.m2 - cond.m1, math.log(x)
-    tail = -math.expm1(d * lx)  # 1 - x^d without cancellation
-    return (math.log1p(x) + cond.m1 * lx + math.log(tail),
-            1.0 / (1.0 + x) + (cond.m1 - d * x ** d / tail) / x)
+    xd, tail = x ** d, -math.expm1(d * lx)  # 1 - x^d; its log by Maechler's log1mexp rule
+    return (math.log1p(x) + cond.m1 * lx + (math.log1p(-xd) if xd < 0.5 else math.log(tail)),
+            1.0 / (1.0 + x) + (cond.m1 - d * xd / tail) / x)
 
 
-def _estimate_p(cond, q, lo, hi):
-    """Newton's estimate of the p in [lo, hi] with L(p) = L(q), 0 <= q < 1,
-    or None where it cannot start, with L and L' from _log_neg_phi.
+def _estimate_p(cond, q, lq, lo, hi):
+    """Newton's estimate of the p in [lo, hi] with L(p) = lq, the caller's
+    L(q), 0 <= q < 1, with L and L' from _log_neg_phi.
 
     L is concave on (0, 1), so Newton moves monotonically towards the root
     from the side it starts on: beyond the root on [q, 1], below it on
-    [0, q].  The start is on that side by a bound on L: L(p) < ln(2d(1 - p))
-    on [q, 1], L(p) < log1p(q) + m1 ln p on [0, q] for m1 > 0, and
-    L(p) < log1p(p) for m1 = 0.  Steps stop when they no longer move the
-    estimate that way, or leave the bracket; F decides the root.  A start
-    at hi takes no step, as L' there is NaN (hi = 1.0) or points away (a
-    rising-branch q): at q = 0 a pair with m1 > 0 has L(0) = -inf, so the
+    [0, q].  The start is in (lo, hi], on that side, by a bound on L:
+    L(p) < ln(2d(1 - p)) on [q, 1], L(p) < log1p(q) + m1 ln p on [0, q] for
+    m1 > 0, and L(p) < log1p(p) for m1 = 0.  Steps stop when they no longer
+    move the estimate that way, or leave the bracket; F decides the root.  A
+    start at hi takes no step, as L' there is NaN (hi = 1.0) or points away
+    (a rising-branch q): at q = 0 a pair with m1 > 0 has L(0) = -inf, so the
     start rounds to hi = 1.0, the root, as F(0, p) <= 0 on [0, 1).
     """
-    lq = _log_neg_phi(cond, q)[0]
     if lo == q:  # [q, 1]: q is on the falling branch of phi
         x, s = 1.0 - math.exp(lq) / (2 * (cond.m2 - cond.m1)), -1.0
     elif cond.m1:
         x, s = math.exp((lq - math.log1p(q)) / cond.m1), 1.0
     else:
         x, s = math.expm1(lq), 1.0
-    if not lo < x <= hi:
-        return None
     for _ in range(64):  # a cap, not a tolerance: F certifies what is left
         lx, dl = _log_neg_phi(cond, x)
         if not s * dl > 0.0:
@@ -298,20 +295,19 @@ def bisect_bracket(f, lo, hi):
 
 def _root(f, x, lo, hi):
     """The root of f on [lo, hi], where f(lo) <= 0 < f(hi) by the caller's
-    model, as two adjacent floats, from an estimate x (None if there is
-    none).  f's exact sign at x says which way the root lies; the walk goes
-    that way in steps doubling from ulp(x) (Bentley and Yao's unbounded
-    search) and never evaluates an end.  bisect_bracket finishes it, or
-    bisects the whole bracket if there is no estimate.  The p-solves and the
-    in-family crossing (_crossing) share this one walk."""
-    if x is not None:
-        w = math.ulp(x)
-        while lo <= x <= hi:
-            if x == hi or x != lo and f(x) > 0.0:
-                hi, x = x, x - w
-            else:
-                lo, x = x, x + w
-            w *= 2.0
+    model, as two adjacent floats, from an estimate x.  f's exact sign at x
+    says which way the root lies; the walk goes that way in steps doubling
+    from ulp(x) (Bentley and Yao's unbounded search) and never evaluates an
+    end.  bisect_bracket finishes it, from the whole bracket if x lies
+    outside.  The p-solves and the in-family crossing (_crossing) share
+    this one walk."""
+    w = math.ulp(x)
+    while lo <= x <= hi:
+        if x == hi or x != lo and f(x) > 0.0:
+            hi, x = x, x - w
+        else:
+            lo, x = x, x + w
+        w *= 2.0
     return bisect_bracket(f, lo, hi)
 
 
@@ -322,13 +318,15 @@ def solve_p_for_q(cond, q) -> Optional[float]:
     F(q, q) = phi'(q) picks (see the module docstring).  On the falling
     branch, F(q, q) <= 0, the bracket is [q, 1]: F(q, 1) = phi(q) / (q - 1)
     is stated positive, not computed (it may vanish at q = 0, where p = 1 is
-    the root).  On the rising branch the bracket is [0, q], and only
-    F(q, 0) >= 0 leaves no interior root: a ground curve past its endpoint
-    q_m.  F's signs are exact, so the branch is never the wrong one.
+    the root).  On the rising branch, where q > 0, the bracket is [0, q],
+    and only F(q, 0) >= 0 leaves no interior root: a ground curve past its
+    endpoint q_m.  F's signs are exact, so the branch is never the wrong one.
 
     Newton on L(p) = L(q) estimates the root, and a walk from the estimate
     brackets it (_root): 3 evaluations of F per root in the median, with
-    F(q, q).  Only where Newton has no start is the whole bracket bisected.
+    F(q, q).  The state's Phi(n_q) gives q F(q, 0) = phi(q) - phi(0), its
+    sign, and for a ground pair L(q) = log1p(-q F(q, 0)) from one correctly
+    rounded int / int, where near q_m the float L(q) is off by many binades.
     """
     q = to_float(q, "q")
     if not (math.isfinite(q) and 0.0 <= q <= 1.0):
@@ -338,13 +336,14 @@ def solve_p_for_q(cond, q) -> Optional[float]:
 
     f = _FixedQ(cond, q)
     if f(q) <= 0.0:
-        lo, hi = q, 1.0
+        lo, hi, lq = q, 1.0, _log_neg_phi(cond, q)[0]
     else:
-        f0 = f(0.0)
-        if f0 >= 0.0:  # past q_m, or F(q, 0) == 0 at q = q_m or q = 1
-            return None if f0 > 0.0 else 0.0
-        lo, hi = 0.0, q
-    lo, hi = _root(f, _estimate_p(cond, q, lo, hi), lo, hi)
+        unit = 0 if cond.m1 else 1 << f.eq * (cond.m2 + 1)  # -phi(0), over 2^(e_q (m2 + 1))
+        n0 = f.phi + unit  # q F(q, 0), over the same
+        if n0 >= 0:  # past q_m, or F(q, 0) == 0 at q = q_m or q = 1
+            return None if n0 else 0.0
+        lo, hi, lq = 0.0, q, math.log1p(-n0 / unit) if unit else _log_neg_phi(cond, q)[0]
+    lo, hi = _root(f, _estimate_p(cond, q, lq, lo, hi), lo, hi)
     return 0.5 * (lo + hi)
 
 
@@ -442,13 +441,13 @@ def endpoint_q(cond):
 
     It is the q = 0 p-root of its pair, _root on [0, 1]; the lower end
     is returned, and F(0, x) = x^m + x^(m-1) - 1 is F(x, 0) exactly, so
-    F(q_m, 0) <= 0 where solve_p_for_q evaluates it.  F(0, x) is increasing
+    F(q_m, 0) <= 0 where solve_p_for_q reads its sign.  F(0, x) is increasing
     and its computed signs are exact, so every sign-keeping bracket shrink
     ends on the one pair of adjacent floats with F(0, lo) <= 0 < F(0, hi).
     """
     if cond.kind != GROUND:
         raise DomainError(f"endpoint_q applies to ground-type conditions only, got {cond}")
-    return _root(_FixedQ(cond, 0.0), _estimate_p(cond, 0.0, 0.0, 1.0), 0.0, 1.0)[0]
+    return _root(_FixedQ(cond, 0.0), _estimate_p(cond, 0.0, 0.0, 0.0, 1.0), 0.0, 1.0)[0]
 
 
 class CurvePoint(NamedTuple):

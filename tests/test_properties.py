@@ -19,20 +19,23 @@ checks that report against the grid report of the same map, over the whole
 positive float range of each parameter.  Each in-family root is a sign
 change of the exact g(q) = F(q, f(q)), the one that bisecting g over the
 whole bracket finds wherever that sign change is unique, and the intercept
-grid is the grid of integer indices bit for bit.  The last four tests check the
+grid is the grid of integer indices bit for bit.  The last five tests check the
 curve inversion that all of these rest on: every p that solve_p_for_q
 returns is certified by the residual itself, no slope of a point in the
-open square that implicit_derivative accepts is positive, and the residual
+open square that implicit_derivative accepts is positive, the residual
 and the partials of the fixed-q state through which every evaluation of F
 goes are, bit for bit, the correctly rounded exact quotients over q's and
-p's common denominator.
+p's common denominator, and every p-solve's Newton start lies in its
+bracket.
 """
 
 import math
+from unittest import mock
 
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import qposc.degeneracy
 from qposc import (CustomFamily, DeformationPoint, DegeneracyCondition, DomainError,
                    ExpFamily, LogFamily, PowerFamily, endpoint_q, family_energy, family_p,
                    implicit_derivative, intercept_curve, peak_level, residual,
@@ -247,9 +250,8 @@ def test_the_residual_certifies_the_diagonal_crossing_and_the_curve_ends():
         for q in (i / 999 for i in qs):
             p = solve_p_for_q(cond, q)
             assert p >= math.nextafter(1.0, 0.0) and certified(cond, q, p), (cond, q, p)
-    # from a ground curve's end q_k down, p falls towards 0, and at some of
-    # these q L(q) computes to <= L(0) = 0 (e.g. (0, 8) at the computed q_k,
-    # 0.9115923534820549), so Newton has no start there
+    # from a ground curve's end q_k down, p falls towards 0, and L(q) nears
+    # L(0) = 0 (e.g. (0, 8) at the computed q_k, 0.9115923534820549)
     for k in (8, 14, 18, 32):
         cond = DegeneracyCondition(0, k)
         q = endpoint_q(cond)
@@ -337,3 +339,26 @@ def test_the_fixed_q_residual_is_the_residual_bit_for_bit(pair, q, p, diagonal):
         assert residual(cond, DeformationPoint(q, p)).hex() == want[0].hex()
     assert f.partials(q)[0].hex() == reference_partials(cond, q, q)[0].hex()
     assert list(map(float.hex, f.partials(p))) == list(map(float.hex, want))
+
+
+@PROPERTY
+@example(pair=(0, 8), q=0.0, ulps_below_end=0)
+@example(pair=(0, 52), q=0.0, ulps_below_end=0)
+@given(pair=level_pairs, q=binades, ulps_below_end=st.none() | st.integers(0, 2 ** 40))
+def test_every_newton_start_lies_in_its_bracket(pair, q, ulps_below_end):
+    # _root bisects the whole bracket from a start outside it, so a start
+    # must lie in it for the walk to save anything: at a ground curve's end
+    # q_m too, where the root p is about 1e-17 and L(q) nears L(0) = 0.
+    # The end, q_m or 1, lies in [1/2, 1], where an ulp below it is 2^-53
+    cond = DegeneracyCondition(*pair)
+    if ulps_below_end is not None:
+        q = (endpoint_q(cond) if cond.m1 == 0 else 1.0) - ulps_below_end * 2.0 ** -53
+    starts, root = [], qposc.degeneracy._root
+
+    def recording(f, x, lo, hi):
+        starts.append((x, lo, hi))
+        return root(f, x, lo, hi)
+
+    with mock.patch.object(qposc.degeneracy, "_root", recording):
+        solve_p_for_q(cond, q)
+    assert all(lo < x <= hi for x, lo, hi in starts), starts
