@@ -37,9 +37,9 @@ that double from one ulp, brackets it and bisect_bracket finishes it
 through one fixed-q state, _FixedQ: it computes q's half of those
 integers, phi(q) and phi'(q), once, from one pair of big powers
 (_phi_pair), and each F(q, p) computes p's half alone.  Its partials give
-the curve slope only near the diagonal, |q - p| < 2 / max(m2 + 1, 32),
-and on the axes; elsewhere the slope is the float ratio phi'(q) / phi'(p),
-where -F_q/F_p at the float p loses digits towards the (0, 1) corner.
+the curve slope only near the diagonal, |q - p| < 2 / max(m2 + 1, 32);
+elsewhere the slope is the float ratio phi'(q) / phi'(p), where -F_q/F_p
+at the float p loses digits towards the (0, 1) corner.
 _slope derives the band: either way the slope is within about twice
 max(m1 + m2, 32) ulps of the curve's.
 
@@ -360,29 +360,27 @@ def _crossing(cond, f, lo):
 
 
 def _dphi(cond, x):
-    """phi'(x) in floats, 0 < x <= 1: x^(m2-1) ((m2+1) x + m2) - 1 for m1 = 0,
+    """phi'(x) in floats, 0 <= x <= 1: x^(m2-1) ((m2+1) x + m2) - 1 for m1 = 0,
     else x^(m1-1) (d (1 + x) - (1 - x^d) ((m2+1) x + m2)) with d = m2 - m1
-    and 1 - x^d = -expm1(d ln x), which cancels nothing near x = 1."""
+    and 1 - x^d = -expm1(d ln x), which cancels nothing near x = 1 and is 1
+    at x = 0.  So phi'(0) = -1 for m1 <= 1 (m2 >= 2), and 0 for m1 >= 2."""
     m1, m2 = cond.m1, cond.m2
     h = (m2 + 1) * x + m2
     if not m1:
         return x ** (m2 - 1) * h - 1.0
     d = m2 - m1
-    return x ** (m1 - 1) * (d * (1.0 + x) + math.expm1(d * math.log(x)) * h)
+    return x ** (m1 - 1) * (d * (1.0 + x) + (math.expm1(d * math.log(x)) if x else -1.0) * h)
 
 
 def _slope(cond, q, p, partials=None):
-    """dp/dq at the curve point (q, p).  Off the axes and off the band
-    |q - p| < 2 / max(m2 + 1, 32) around the diagonal it is the float ratio
-    phi'(q) / phi'(p) (_dphi), which needs no exact state, or its limit -inf
-    where float phi'(p) underflows to 0 (p ~ 1e-10 on a high pair); else it
-    is -(dF/dq) / (dF/dp) from the exact partials, the caller's or
-    _FixedQ.partials', or -inf where dF/dp = 0: the curve is a decreasing
-    graph p(q), so that is a vertical tangent, and never dF/dq = 0 too.
-    implicit_derivative rejects dF/dp = 0, and trace_curve meets it only at
-    the (1, 0) end of a pair with m1 >= 2, where dF/dq = phi'(1) =
-    2 (m2 - m1) > 0: in the band dF/dp ~ phi''(x*) / 2 > 0, and on the axes
-    dF/dp > 0 elsewhere.
+    """dp/dq at the curve point (q, p).  Off the band
+    |q - p| < 2 / max(m2 + 1, 32) around the diagonal, the axes included, it
+    is the float ratio phi'(q) / phi'(p) (_dphi), which needs no exact state,
+    or its limit -inf where float phi'(p) is 0: at the (1, 0) end of a pair
+    with m1 >= 2, a vertical tangent, or where it underflows (p ~ 1e-10 on a
+    high pair).  In the band it is -(dF/dq) / (dF/dp) from the exact
+    partials, the caller's or _FixedQ.partials', where
+    dF/dp ~ phi''(x*) / 2 > 0.
 
     p is within an ulp of the curve, and each form carries that error into
     the slope s.  The ratio's relative error is |phi''(p) / phi'(p)| ulp(p),
@@ -394,11 +392,11 @@ def _slope(cond, q, p, partials=None):
     (m1 + m2) ulp(p).  -F_q/F_p's is |1 + 1/s| ulp(p) / |q - p|: small near
     the diagonal, where s is near -1, but growing as 1/|s| towards the
     corner, which a band of width 2 / (m2 + 1) keeps out."""
-    if q and p and abs(q - p) >= 2.0 / max(cond.m2 + 1, 32):
+    if abs(q - p) >= 2.0 / max(cond.m2 + 1, 32):
         dphi_p = _dphi(cond, p)
         return _dphi(cond, q) / dphi_p + 0.0 if dphi_p else -math.inf
     _, dq, dp = partials or _FixedQ(cond, q).partials(p)
-    return -dq / dp + 0.0 if dp else -math.inf  # + 0.0 normalizes -0.0
+    return -dq / dp + 0.0  # + 0.0 normalizes -0.0
 
 
 def _monomial_scale(cond, q, p):
@@ -418,7 +416,7 @@ def _monomial_scale(cond, q, p):
 
 def implicit_derivative(cond, point):
     """Curve slope dp/dq at a point on the curve, by _slope's rule: -F_q/F_p
-    in its band and on the axes, else phi'(q) / phi'(p), or its limit -inf.
+    in its band, else phi'(q) / phi'(p), or its limit -inf.
 
     The point must satisfy |residual| < 1e-8, and |residual| <= 1e-8 times
     the sum of |monomials| of F (_monomial_scale): near q = 0 a high pair's

@@ -1,8 +1,12 @@
 """CLI surface: table layout, number formatting, exit codes, determinism."""
 
+import contextlib
+import io
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qposc import energy_spectrum
 from qposc.cli import main
@@ -321,3 +325,62 @@ class TestOutputContract:
         lines = out.splitlines()
         assert lines[0].startswith("# qposc spectrum")
         assert any(line.startswith("# version:") for line in lines)
+
+
+# argv fragments at small sizes: level pairs to m2 = 40, sizes to 50, decimal,
+# signed, nan and inf reals and family texts, well-formed in three draws of
+# four, else malformed or of an unknown kind; no --out, --help or --version,
+# which write elsewhere or exit 0 with no command run
+def fragments(good, bad):
+    return st.integers(0, 3).flatmap(lambda i: good if i else bad)
+
+
+LEVELS = fragments(
+    st.tuples(st.integers(-2, 40), st.integers(-2, 40)).map(lambda t: f"{t[0]},{t[1]}"),
+    st.sampled_from(["0;2", "1,x", "1,2,3", "", ",", "1.0,2", "0,2,"]))
+SIZES = fragments(st.integers(-3, 50).map(str),
+                  st.sampled_from(["", "x", "1.5", "1e3", "nan", "0x10"]))
+REALS = fragments(
+    st.one_of(st.floats(-2.0, 2.0).map(repr), st.floats(0.0, 1.0).map(lambda x: f"{x:.3f}"),
+              st.floats(-1e3, 1e3).map(lambda x: f"{x:e}"),
+              st.sampled_from(["nan", "inf", "-inf", "-0.0", "5e-324", "1e308"])),
+    st.sampled_from(["0.5x", "", "1,5", "--1"]))
+FAMILIES = fragments(
+    st.tuples(st.sampled_from(["power", "log", "exp"]), REALS).map(":".join),
+    st.one_of(st.tuples(st.sampled_from(["pow", "Exp", "custom", ""]), REALS).map(":".join),
+              st.sampled_from(["power", "log:", "exp:0.5:1", "power 2"])))
+OPTIONS = {
+    "curve": [("--levels", LEVELS), ("--samples", SIZES)],
+    "solve": [("--levels", LEVELS), ("--family", FAMILIES)],
+    "spectrum": [("--family", FAMILIES), ("--q", REALS), ("--n-max", SIZES)],
+    "intercept": [("--family", FAMILIES), ("--samples", SIZES)],
+    "fock": [("--dim", SIZES), ("--q", REALS), ("--p", REALS)],
+}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(OPTIONS) + ["curves", ""]))
+    argv = [command]
+    for flag, values in OPTIONS.get(command, OPTIONS["curve"]):
+        if draw(st.integers(0, 7)):  # each option is left out in one draw of eight
+            argv += [flag, draw(values)]
+    if not draw(st.integers(0, 4)):  # an unknown or incomplete trailing argument
+        argv.append(draw(st.sampled_from(["--bogus", "extra", "--samples"])))
+    return argv
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(argv=argvs())
+def test_exit_contract_holds_on_any_argv(argv):
+    # main returns, or argparse exits, with 0, 1 or 2; nothing escapes as a
+    # traceback, and a failing command writes nothing to stdout
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv
+    assert code == 0 or out.getvalue() == "", (argv, code)

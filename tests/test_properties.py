@@ -22,11 +22,11 @@ whole bracket finds wherever that sign change is unique, and the intercept
 grid is the grid of integer indices bit for bit.  The last five tests check the
 curve inversion that all of these rest on: every p that solve_p_for_q
 returns is certified by the residual itself, no slope of a point in the
-open square that implicit_derivative accepts is positive, the residual
-and the partials of the fixed-q state through which every evaluation of F
-goes are, bit for bit, the correctly rounded exact quotients over q's and
-p's common denominator, and every p-solve's Newton start lies in its
-bracket.
+open square or on an axis that implicit_derivative accepts is positive,
+the residual and the partials of the fixed-q state through which every
+evaluation of F goes are, bit for bit, the correctly rounded exact
+quotients over q's and p's common denominator, and every p-solve's Newton
+start lies in its bracket.
 """
 
 import math
@@ -263,11 +263,12 @@ def test_the_residual_certifies_the_diagonal_crossing_and_the_curve_ends():
 
 # near q = 1 every F(q, p) is about phi(q) / (q - p), tiny for every p, so
 # many of these points pass implicit_derivative's on-curve test, some with
-# p so small that float phi'(p) underflows
+# p so small that float phi'(p) underflows, and some on the axes, p = 0
 @PROPERTY
 @example(pair=(40, 41), k=53, p=1e-10, swap=False)
+@example(pair=(2, 3), k=28, p=0.0, swap=True)
 @given(pair=level_pairs, k=st.integers(20, 53),
-       p=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+       p=st.just(0.0) | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
        | st.floats(1.0, 300.0).map(lambda u: 10.0 ** -u),
        swap=st.booleans())
 def test_every_interior_slope_is_non_positive(pair, k, p, swap):
