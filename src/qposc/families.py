@@ -13,7 +13,10 @@ plus arbitrary user maps via CustomFamily.  A member's value is read one
 way: family_p is the one-point case of the validated grid map _family_ps.
 The three built-in maps are admissible by theorem, so validate_family
 reports them without evaluating them; a subclass or a CustomFamily gets
-the 10 000-point grid.
+the 10 000-point grid.  The same theorem places an exact built-in
+member's values in [0, 1], so _family_ps checks only a LogFamily's values
+next to domain_low, where __init__ certifies the edge within the slack of
+0; any other family's values go through C-level range passes.
 
 An in-family degeneracy is a member's line crossing a degeneracy curve;
 qposc.degeneracy finds it (_crossing) and its module docstring says how.
@@ -155,19 +158,38 @@ def _in_unit(ps):  # C-level passes; min and max can pass over a NaN, sum cannot
     return 0.0 <= min(ps) and max(ps) <= 1.0 and not math.isnan(sum(ps))
 
 
+def _unit_ps(fam, qs, ps):
+    """ps with each p within _BOUNDS_SLACK of [0, 1] clamped onto it; any
+    other miss raises at the first offending q."""
+    ps = [p if 0.0 <= p <= 1.0 else _clamp(p) for p in ps]
+    if not _in_unit(ps):
+        q, p = next((q, p) for q, p in zip(qs, ps) if not 0.0 <= p <= 1.0)
+        raise DomainError(f"{fam.label} leaves the unit interval: f({q}) = {_shown(p)}")
+    return ps
+
+
 def _family_ps(fam, qs):
     """f(q) for each q of a rising grid qs, in one p_of_qs call: the domain
     is checked at the grid's ends, a p within _BOUNDS_SLACK of [0, 1] is
-    clamped onto it, and any other miss raises at the first offending q."""
+    clamped onto it, and any other miss raises at the first offending q.
+
+    Where a value is checked follows the exact class, as in validate_family:
+    an exact PowerFamily or ExpFamily value lies in [0, 1] by its theorem.
+    An exact LogFamily value is <= 1 and errs by under 4e-16 on a rising f,
+    so it dips below 0 only before its first value >= _BOUNDS_SLACK, next to
+    domain_low, where LogFamily.__init__ certifies f: only those are checked.
+    Any other family's values go through the C-level passes of _in_unit."""
     if not (fam.domain_low <= qs[0] and qs[-1] <= 1.0):  # NaN fails too
         q = next(q for q in qs if not (math.isfinite(q) and fam.domain_low <= q <= 1.0))
         raise DomainError(f"q={q} outside family domain [{fam.domain_low}, 1]")
     ps = fam.p_of_qs(qs)
-    if not _in_unit(ps):
-        ps = [p if 0.0 <= p <= 1.0 else _clamp(p) for p in ps]
-        if not _in_unit(ps):
-            q, p = next((q, p) for q, p in zip(qs, ps) if not 0.0 <= p <= 1.0)
-            raise DomainError(f"{fam.label} leaves the unit interval: f({q}) = {_shown(p)}")
+    kind = type(fam)
+    if kind is LogFamily:
+        lead = next((i for i, p in enumerate(ps) if p >= _BOUNDS_SLACK), len(ps))
+        if lead:
+            ps[:lead] = _unit_ps(fam, qs, ps[:lead])
+    elif kind not in (PowerFamily, ExpFamily) and not _in_unit(ps):
+        ps = _unit_ps(fam, qs, ps)
     return ps
 
 

@@ -377,6 +377,39 @@ class TestBuiltInMeansTheExactClass:
         assert validate_family(fam).notes == ["boundary member: constant map p = 1"]
         assert intercept_curve(fam, 3).extrapolated is False
 
+    @staticmethod
+    def moved(base, value, move):
+        """A member of a subclass of base whose every value p is move(p)."""
+        class Moved(base):
+            def p_of_qs(self, qs):
+                return list(map(move, super().p_of_qs(qs)))
+
+        return Moved(value)
+
+    # LogFamily.__init__ reads the subclass's map at domain_low, so a log
+    # member may leave [0, 1] only away from its edge
+    @pytest.mark.parametrize("base, value, move, q", [
+        (PowerFamily, 2, lambda p: p - 0.5, 0.0), (PowerFamily, 2, lambda p: 1.5 * p, 1.0),
+        (LogFamily, 2.0, lambda p: 1.5 * p, 1.0)])
+    def test_a_subclass_that_leaves_the_unit_interval_is_refused(self, base, value, move, q):
+        # the range shortcut of _family_ps goes to the exact class only
+        fam = self.moved(base, value, move)
+        message = f"{fam.label} leaves the unit interval: f({q}) = {fam.p_of_q(q)!r}"
+        for call in (lambda: family_p(fam, q), lambda: intercept_curve(fam, 2)):
+            with pytest.raises(DomainError) as exc:
+                call()
+            assert str(exc.value) == message
+
+    @pytest.mark.parametrize("base, value", [(PowerFamily, 2), (LogFamily, 2.0)])
+    def test_a_subclasss_slack_band_values_are_clamped(self, base, value):
+        below = self.moved(base, value, lambda p: p - 5e-13)
+        above = self.moved(base, value, lambda p: p + 5e-13)
+        lo = below.domain_low
+        assert below.p_of_q(lo) < 0.0 and above.p_of_q(1.0) > 1.0
+        assert family_p(below, lo) == 0.0 and family_p(above, 1.0) == 1.0
+        assert intercept_curve(below, 2).samples[0] == (lo, lo - 1.0)
+        assert intercept_curve(above, 2).samples[-1] == (1.0, 1.0)
+
 
 def mp_log_crossing(alpha, m1, m2):
     """The crossing of log:alpha with the (m1, m2) curve in 60-digit mpmath,

@@ -16,7 +16,11 @@ l < ln(1/q_k)/745, and there the solver raises DomainError.
 
 validate_family reports a built-in member without evaluating it; one test
 checks that report against the grid report of the same map, over the whole
-positive float range of each parameter.  Each in-family root is a sign
+positive float range of each parameter, and another checks its values,
+which skip the range passes, against the same map as a CustomFamily,
+which takes them; one more holds family_p, asymptotic_intercept and
+intercept_curve to returning, raising DomainError, or raising what
+float() raises for a non-number.  Each in-family root is a sign
 change of the exact g(q) = F(q, f(q)), the one that bisecting g over the
 whole bracket finds wherever that sign change is unique, and the intercept
 grid is the grid of integer indices bit for bit.  The last five tests check the
@@ -32,14 +36,16 @@ start lies in its bracket.
 import math
 from unittest import mock
 
+import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import qposc.degeneracy
 from qposc import (CustomFamily, DeformationPoint, DegeneracyCondition, DomainError,
-                   ExpFamily, LogFamily, PowerFamily, endpoint_q, family_energy, family_p,
-                   implicit_derivative, intercept_curve, peak_level, residual,
-                   solve_degeneracy_on_family, solve_p_for_q, validate_family)
+                   ExpFamily, InterceptCurve, LogFamily, PowerFamily, asymptotic_intercept,
+                   endpoint_q, family_energy, family_p, implicit_derivative, intercept_curve,
+                   peak_level, residual, solve_degeneracy_on_family, solve_p_for_q,
+                   validate_family)
 from qposc.degeneracy import _FixedQ, bisect_bracket
 from qposc.families import _family_ps
 
@@ -203,6 +209,77 @@ def test_a_built_in_members_report_is_its_grid_report(made):
     assert closed.notes == (["boundary member: constant map p = 1"] if constant else [])
     closed.notes = grid.notes
     assert repr(closed) == repr(grid)
+
+
+def hex_or_error(call, *args):
+    """The floats that call(*args) returns, in hex, or its DomainError's text."""
+    try:
+        value = call(*args)
+    except DomainError as exc:
+        return str(exc)
+    samples = value.samples if isinstance(value, InterceptCurve) else [(value,)]
+    return [tuple(x.hex() for x in sample) for sample in samples]
+
+
+@PROPERTY
+@example(made=(LogFamily, 6.05), n=10_001, u=0.5)  # f(domain_low) a few ulps below 0
+@example(made=(ExpFamily, 0.1653), n=10_001, u=0.5)
+@given(made=built_in_parameters, n=st.integers(2, 300), u=st.floats(0.0, 1.0))
+def test_a_built_in_members_values_are_its_checked_twins(made, n, u):
+    # the twin is the same map as a CustomFamily, whose values the C-level
+    # passes check; the exact class skips them by theorem
+    maker, value = made
+    try:
+        fam = maker(value)
+    except DomainError:
+        assume(False)
+    twin = CustomFamily(fam.p_of_q, fam.label, fam.domain_low)
+    lo = fam.domain_low
+    for q in (lo, 1.0, lo + (1.0 - lo) * u):
+        assert hex_or_error(family_p, fam, q) == hex_or_error(family_p, twin, q), q
+    assert hex_or_error(intercept_curve, fam, n) == hex_or_error(intercept_curve, twin, n)
+
+
+def obeys_the_exception_contract(call, x):
+    """call(x) returns, raises DomainError, or, for an x that is not a
+    number, raises the TypeError or ValueError that float(x) raises."""
+    try:
+        call(x)
+    except DomainError:
+        return True
+    except (TypeError, ValueError) as exc:
+        try:
+            float(x)
+        except (TypeError, ValueError) as expected:
+            return (type(exc), str(exc)) == (type(expected), str(expected))
+        raise
+    return True
+
+
+contract_members = members | st.sampled_from([
+    LogFamily(6.05), PowerFamily(0.0), CustomFamily(lambda q: q * q, "square"),
+    CustomFamily(lambda q: q - 5e-13, "below"), CustomFamily(lambda q: 2.0 - q, "above", 0.25),
+    CustomFamily(lambda q: math.nan, "nan", 0.5)])
+# no int below sys.maxsize other than 1: intercept_curve takes x as its size too
+contract_inputs = st.sampled_from([
+    math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e308, 10 ** 400, 1.0, 0.5,
+    np.float64(0.5), np.float32(math.nan), np.float64(-math.inf), np.int64(1),
+    None, "x", [0.5], []])
+
+
+@PROPERTY
+@example(fam=LogFamily(6.05), x=None, ulps=0, n=2)  # family_p at a negative edge
+@given(fam=contract_members, x=contract_inputs, ulps=st.none() | st.integers(-3, 3),
+       n=st.integers(2, 50))
+def test_the_family_entry_points_raise_only_domain_error(fam, x, ulps, n):
+    if ulps is not None:  # x is the ulps-th float neighbour of domain_low instead
+        x = fam.domain_low
+        for _ in range(abs(ulps)):
+            x = math.nextafter(x, math.copysign(math.inf, ulps))
+    assert obeys_the_exception_contract(lambda q: family_p(fam, q), x)
+    assert obeys_the_exception_contract(lambda q: asymptotic_intercept(fam, q), x)
+    assert obeys_the_exception_contract(lambda size: intercept_curve(fam, size), x)
+    assert obeys_the_exception_contract(lambda size: intercept_curve(fam, size), n)
 
 
 pairs = st.integers(1, 80).flatmap(lambda m2: st.tuples(st.integers(0, m2 - 1), st.just(m2)))
