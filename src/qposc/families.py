@@ -87,8 +87,9 @@ class LogFamily(ReductionFamily):
         if self.domain_low == 0.0:
             raise DomainError(f"log coefficient {alpha} too small: exp(-1/alpha) underflows to 0")
         # f misses 0 here if exp(-1/alpha) is subnormal, or if its rounding
-        # (up to 2**-54 near 1) times alpha exceeds the slack: alpha > 18 014
-        edge = self.p_of_q(self.domain_low)
+        # (up to 2**-54 near 1) times alpha exceeds the slack: alpha > 18 014.
+        # LogFamily's own f: _family_ps checks a subclass's map, as any subclass's
+        edge = LogFamily.p_of_qs(self, (self.domain_low,))[0]
         if not -_BOUNDS_SLACK < edge < _BOUNDS_SLACK:
             raise DomainError(f"log coefficient {alpha} too {'small' if alpha < 1.0 else 'large'}: "
                               f"f(exp(-1/alpha)) = {edge!r}, not within {_BOUNDS_SLACK:g} of 0")

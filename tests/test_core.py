@@ -57,7 +57,7 @@ def dense_residuals(rep, pt):
 
 
 def reference_stray_count(rep):
-    # the three-term count that fock_residuals' contiguous passes must equal
+    # the three-term count that fock_residuals' stray count must equal
     a = rep.a_matrix
     return (np.count_nonzero(a) - np.count_nonzero(np.diag(a, 1))
             + np.count_nonzero(rep.a_dagger_matrix != a.T))
@@ -378,6 +378,21 @@ class TestFock:
             for got, want in ((rep.a_matrix, a), (rep.a_dagger_matrix, a.T),
                               (rep.n_matrix, np.diag(np.arange(dim, dtype=float)))):
                 assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_a_dagger_is_a_view_and_only_two_planes_are_allocated(self):
+        # A+ is A's transpose view, and A and N are the one (2, dim, dim)
+        # block: a third plane, 500**2 * 8 bytes more, fails the bound
+        pt, dim = DeformationPoint(0.7, 0.9), 500
+        fock_rep(dim, pt)  # numpy imported outside the trace
+        tracemalloc.start()
+        try:
+            rep = fock_rep(dim, pt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.shares_memory(rep.a_dagger_matrix, rep.a_matrix)
+        assert np.array_equal(rep.a_dagger_matrix, rep.a_matrix.T)
+        assert peak <= 2 * dim ** 2 * 8 + 65_536, f"peak {peak} bytes"
 
     def test_dimension_rejected(self):
         with pytest.raises(DomainError):

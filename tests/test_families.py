@@ -97,6 +97,15 @@ class TestFamilyMaps:
         assert str(exc.value) == (f"log coefficient {alpha} too large: "
                                   f"f(exp(-1/alpha)) = {edge!r}, not within 1e-12 of 0")
 
+    @pytest.mark.parametrize("alpha, edge, value", [
+        (18026.97, "-0x1.6ap-45", 0.0), (18027.0, "0x1.818p-42", 3.423927807943983e-13)])
+    def test_large_coefficients_within_the_slack_are_accepted(self, alpha, edge, value):
+        # next to the refused 18026.970007450036, f(exp(-1/alpha)) misses 0 by
+        # less than the slack; a value below 0 is clamped
+        fam = LogFamily(alpha)
+        assert fam.p_of_q(fam.domain_low) == float.fromhex(edge)
+        assert family_p(fam, fam.domain_low) == value
+
     def test_accepted_log_members_start_at_zero(self):
         rng = np.random.default_rng(13)
         for alpha in np.exp(rng.uniform(math.log(0.001342), math.log(0.0015), size=2000)):
@@ -386,8 +395,8 @@ class TestBuiltInMeansTheExactClass:
 
         return Moved(value)
 
-    # LogFamily.__init__ reads the subclass's map at domain_low, so a log
-    # member may leave [0, 1] only away from its edge
+    # LogFamily.__init__ reads LogFamily's own map at domain_low, so a log
+    # subclass's map is checked by its values, at the edge as anywhere else
     @pytest.mark.parametrize("base, value, move, q", [
         (PowerFamily, 2, lambda p: p - 0.5, 0.0), (PowerFamily, 2, lambda p: 1.5 * p, 1.0),
         (LogFamily, 2.0, lambda p: 1.5 * p, 1.0)])
@@ -399,6 +408,18 @@ class TestBuiltInMeansTheExactClass:
             with pytest.raises(DomainError) as exc:
                 call()
             assert str(exc.value) == message
+
+    def test_a_log_subclass_that_misses_zero_at_its_edge_is_refused_by_its_values(self):
+        # LogFamily.__init__ checks LogFamily's f at domain_low, not the
+        # subclass's map, whose values are refused where any subclass's are
+        fam = self.moved(LogFamily, 2.0, lambda p: p - 0.5)
+        lo = fam.domain_low
+        message = f"{fam.label} leaves the unit interval: f({lo}) = -0.5"
+        for call in (lambda: family_p(fam, lo), lambda: intercept_curve(fam, 2)):
+            with pytest.raises(DomainError) as exc:
+                call()
+            assert str(exc.value) == message
+        assert not validate_family(fam).passed
 
     @pytest.mark.parametrize("base, value", [(PowerFamily, 2), (LogFamily, 2.0)])
     def test_a_subclasss_slack_band_values_are_clamped(self, base, value):

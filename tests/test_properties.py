@@ -20,7 +20,9 @@ positive float range of each parameter, and another checks its values,
 which skip the range passes, against the same map as a CustomFamily,
 which takes them; one more holds family_p, asymptotic_intercept and
 intercept_curve to returning, raising DomainError, or raising what
-float() raises for a non-number.  Each in-family root is a sign
+float() raises for a non-number, and another holds DeformationPoint and
+the core entry points fock_rep, energy_spectrum, energy_level,
+qp_bracket_int and qp_bracket to the same.  Each in-family root is a sign
 change of the exact g(q) = F(q, f(q)), the one that bisecting g over the
 whole bracket finds wherever that sign change is unique, and the intercept
 grid is the grid of integer indices bit for bit.  The last five tests check the
@@ -43,8 +45,9 @@ from hypothesis import strategies as st
 import qposc.degeneracy
 from qposc import (CustomFamily, DeformationPoint, DegeneracyCondition, DomainError,
                    ExpFamily, InterceptCurve, LogFamily, PowerFamily, asymptotic_intercept,
-                   endpoint_q, family_energy, family_p, implicit_derivative, intercept_curve,
-                   peak_level, residual, solve_degeneracy_on_family, solve_p_for_q,
+                   endpoint_q, energy_level, energy_spectrum, family_energy, family_p,
+                   fock_rep, implicit_derivative, intercept_curve, peak_level, qp_bracket,
+                   qp_bracket_int, residual, solve_degeneracy_on_family, solve_p_for_q,
                    validate_family)
 from qposc.degeneracy import _FixedQ, bisect_bracket
 from qposc.families import _family_ps
@@ -280,6 +283,32 @@ def test_the_family_entry_points_raise_only_domain_error(fam, x, ulps, n):
     assert obeys_the_exception_contract(lambda q: asymptotic_intercept(fam, q), x)
     assert obeys_the_exception_contract(lambda size: intercept_curve(fam, size), x)
     assert obeys_the_exception_contract(lambda size: intercept_curve(fam, size), n)
+
+
+# valid sizes and indices are drawn only up to 50: every int below
+# sys.maxsize is valid, and fock_rep, energy_spectrum and the levels take
+# time (and fock_rep memory) that grows with it
+core_inputs = st.sampled_from([
+    math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 10 ** 400, 1.0, 0.5, True, False,
+    np.float64(0.5), np.float32(math.nan), np.float64(-math.inf), np.int64(7), np.bool_(True),
+    None, "x", [0.5], [], [3]])
+
+
+@PROPERTY
+@given(x=core_inputs, n=st.integers(0, 50), q=st.floats(0.0, 1.0) | core_inputs,
+       p=st.floats(0.0, 1.0) | core_inputs)
+def test_the_core_entry_points_raise_only_domain_error(x, n, q, p):
+    # x as a coordinate, then as a size, an index or a bracket argument at
+    # the drawn point (q, p), or at (0.5, 0.25) where that point is refused
+    assert obeys_the_exception_contract(lambda c: DeformationPoint(c, 0.5), x)
+    assert obeys_the_exception_contract(lambda c: DeformationPoint(0.5, c), x)
+    try:
+        pt = DeformationPoint(q, p)
+    except (TypeError, ValueError):  # DomainError too
+        pt = DeformationPoint(0.5, 0.25)
+    for call in (fock_rep, energy_spectrum, energy_level, qp_bracket_int, qp_bracket):
+        for arg in (x, n):
+            assert obeys_the_exception_contract(lambda a: call(a, pt), arg), (call, arg)
 
 
 pairs = st.integers(1, 80).flatmap(lambda m2: st.tuples(st.integers(0, m2 - 1), st.just(m2)))
