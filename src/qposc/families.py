@@ -9,14 +9,17 @@ q-oscillator class.  Built-in families:
     log:    p = 1 + a ln q  (a > 0; domain clipped to [exp(-1/a), 1])
     exp:    p = exp(a(q-1)) (a > 0)
 
-plus arbitrary user maps via CustomFamily.  A member's value is read one
-way: family_p is the one-point case of the validated grid map _family_ps.
-The three built-in maps are admissible by theorem, so validate_family
-reports them without evaluating them; a subclass or a CustomFamily gets
-the 10 000-point grid.  The same theorem places an exact built-in
-member's values in [0, 1], so _family_ps checks only a LogFamily's values
-next to domain_low, where __init__ certifies the edge within the slack of
-0; any other family's values go through C-level range passes.
+plus arbitrary user maps via CustomFamily.  The three built-in maps are
+admissible by theorem, so validate_family reports them without evaluating
+them; a subclass or a CustomFamily gets the 10 000-point grid.  The same
+theorem places an exact built-in member's values in [0, 1], so _family_ps,
+the one place where a value is checked (family_p is its one-point case),
+checks only a LogFamily's values next to domain_low, where __init__
+certifies the edge within the slack of 0; any other family's values go
+through C-level range passes.  intercept_curve writes an exact built-in
+member's map inline, in one fused pass over the grid index, and takes only
+those LogFamily values and the end q = 1 from _family_ps; a twin property
+holds each such pass to the same map as a CustomFamily, bit for bit.
 
 An in-family degeneracy is a member's line crossing a degeneracy curve;
 qposc.degeneracy finds it (_crossing) and its module docstring says how.

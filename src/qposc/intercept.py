@@ -9,14 +9,16 @@ class included, the same expression is an extrapolation and is labeled
 as such in emitted tables.
 """
 
+import math
+
 from .errors import Record, to_float, to_index
-from .families import ExpFamily, PowerFamily, _family_ps
+from .families import _BOUNDS_SLACK, ExpFamily, LogFamily, PowerFamily, _family_ps
 
 
 def _intercepts(fam, qs):
     """The (q, lambda) pairs on a rising grid qs, in one pass over qs and
-    _family_ps(fam, qs); lambda = q + f(q) - 1 is grouped as q + (p - 1)
-    so that the constant family returns q bit-exactly."""
+    _family_ps(fam, qs), the checked path; lambda = q + f(q) - 1 is grouped
+    as q + (p - 1) so that the constant family returns q bit-exactly."""
     return [(q, q + (p - 1.0)) for q, p in zip(qs, _family_ps(fam, qs))]
 
 
@@ -43,14 +45,40 @@ def _is_extrapolated(fam):
 
 
 def intercept_curve(fam, n_samples):
-    """Sample the intercept on a uniform q-grid over the family domain, in
-    one pass: asymptotic_intercept(fam, q) bit for bit, or its first error.
-    f is checked where _family_ps says: an exact built-in member by the
-    theorem validate_family states, plus LogFamily's edge clamp, and any
-    other family by C-level passes over the whole grid."""
+    """Sample the intercept on a uniform q-grid over the family domain:
+    asymptotic_intercept(fam, q) bit for bit, or its first error.
+
+    An exact built-in member (type(fam), as in _family_ps and
+    validate_family) takes one fused pass over the grid index below q = 1,
+    with its map written inline as the families docstring states it.  By
+    the theorem validate_family states, _family_ps checks none of its values
+    but an exact LogFamily's leading ones below _BOUNDS_SLACK, next to
+    domain_low; those are taken again from _intercepts, clamped and checked,
+    as is the end q = 1.  Any other family, a subclass included, takes
+    _intercepts over the whole grid.  A twin property holds each fused pass
+    to the same map as a CustomFamily, which takes the checked path, bit
+    for bit."""
     last = to_index(n_samples, "need at least 2 samples, below sys.maxsize", low=2) - 1
     lo, end = fam.domain_low, float(last)
-    span = 1.0 - lo
-    # float indices: int operands convert to the same doubles, at a lower cost
-    qs = [lo + span * x / end for x in map(float, range(last))] + [1.0]
-    return InterceptCurve(fam, tuple(_intercepts(fam, qs)), _is_extrapolated(fam))
+    span, kind = 1.0 - lo, type(fam)
+    # float indices: int operands convert to the same doubles, at a lower
+    # cost; where lo is 0.0, x / end has the bits of lo + span * x / end
+    xs = map(float, range(last))
+    if kind is PowerFamily and lo == 0.0:
+        exponent = fam.exponent
+        pairs = [(q := x / end, q + (q ** exponent - 1.0)) for x in xs]
+    elif kind is ExpFamily and lo == 0.0:
+        alpha, exp = fam.alpha, math.exp
+        pairs = [(q := x / end, q + (exp(alpha * (q - 1.0)) - 1.0)) for x in xs]
+    elif kind is LogFamily:
+        alpha, log = fam.alpha, math.log
+        pairs = [(q := lo + span * x / end, q + ((1.0 + alpha * log(q)) - 1.0)) for x in xs]
+        lead = next((i for i, (q, _) in enumerate(pairs) if 1.0 + alpha * log(q) >= _BOUNDS_SLACK),
+                    last)
+        if lead:
+            pairs[:lead] = _intercepts(fam, [q for q, _ in pairs[:lead]])
+    else:
+        pairs = _intercepts(fam, [lo + span * x / end for x in xs] + [1.0])
+        return InterceptCurve(fam, tuple(pairs), _is_extrapolated(fam))
+    pairs += _intercepts(fam, [1.0])
+    return InterceptCurve(fam, tuple(pairs), _is_extrapolated(fam))

@@ -1,6 +1,7 @@
 """Asymptotic two-particle correlation intercept over reduction families."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -137,3 +138,32 @@ class TestBulkEqualsPointwise:
         with pytest.raises(DomainError) as exc:
             intercept_curve(fam, 5)
         assert str(exc.value) == "gap leaves the unit interval: f(0.5) = nan"
+
+
+class TestFusedPass:
+    """An exact built-in member's curve comes from one fused pass over the
+    grid index, with the map written inline; the same map as a CustomFamily
+    takes the checked path."""
+
+    @pytest.mark.parametrize("spec", ["power:2.5", "power:0", "exp:0.5", "log:0.5", "log:6.05"])
+    def test_equals_its_checked_twin_on_the_full_grid(self, spec):
+        fam = parse_family(spec)
+        samples = bulk_curve(fam, 10_001)
+        assert len(samples) == 10_001
+        assert samples == bulk_curve(CustomFamily(fam.p_of_q, fam.label, fam.domain_low), 10_001)
+        if spec == "power:0":
+            assert all(q == lam for q, lam in samples)
+
+    @pytest.mark.parametrize("spec", ["power:2.5", "exp:0.5", "log:0.5"])
+    def test_holds_no_grid_beside_the_pairs(self, spec):
+        # a q grid and a p list built beside the pair list peak at about
+        # 400 KB above the kept curve; the pair list alone is about 85 KB
+        fam = parse_family(spec)
+        tracemalloc.start()
+        try:
+            curve = intercept_curve(fam, 10_001)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(curve.samples) == 10_001
+        assert peak - kept < 160 * 1024

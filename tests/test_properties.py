@@ -20,17 +20,20 @@ positive float range of each parameter, and another checks its values,
 which skip the range passes, against the same map as a CustomFamily,
 which takes them; one more holds family_p, asymptotic_intercept and
 intercept_curve to returning, raising DomainError, or raising what
-float() raises for a non-number, and another holds DeformationPoint and
+float() raises for a non-number, another holds DeformationPoint and
 the core entry points fock_rep, energy_spectrum, energy_level,
-qp_bracket_int and qp_bracket to the same.  Each in-family root is a sign
-change of the exact g(q) = F(q, f(q)), the one that bisecting g over the
-whole bracket finds wherever that sign change is unique, and the intercept
-grid is the grid of integer indices bit for bit.  The last five tests check the
-curve inversion that all of these rest on: every p that solve_p_for_q
-returns is certified by the residual itself, no slope of a point in the
-open square or on an axis that implicit_derivative accepts is positive,
-the residual and the partials of the fixed-q state through which every
-evaluation of F goes are, bit for bit, the correctly rounded exact
+qp_bracket_int and qp_bracket to the same, and a third holds
+DegeneracyCondition, solve_p_for_q, trace_curve, endpoint_q, residual,
+implicit_derivative, profile, peak_level, family_energy,
+solve_degeneracy_on_family and fock_residuals to it.  Each in-family root
+is a sign change of the exact g(q) = F(q, f(q)), the one that bisecting g
+over the whole bracket finds wherever that sign change is unique, and the
+intercept grid is the grid of integer indices bit for bit.  The last five
+tests check the curve inversion that all of these rest on: every p that
+solve_p_for_q returns is certified by the residual itself, no slope of a
+point in the open square or on an axis that implicit_derivative accepts is
+positive, the residual and the partials of the fixed-q state through which
+every evaluation of F goes are, bit for bit, the correctly rounded exact
 quotients over q's and p's common denominator, and every p-solve's Newton
 start lies in its bracket.
 """
@@ -46,9 +49,9 @@ import qposc.degeneracy
 from qposc import (CustomFamily, DeformationPoint, DegeneracyCondition, DomainError,
                    ExpFamily, InterceptCurve, LogFamily, PowerFamily, asymptotic_intercept,
                    endpoint_q, energy_level, energy_spectrum, family_energy, family_p,
-                   fock_rep, implicit_derivative, intercept_curve, peak_level, qp_bracket,
-                   qp_bracket_int, residual, solve_degeneracy_on_family, solve_p_for_q,
-                   validate_family)
+                   fock_rep, fock_residuals, implicit_derivative, intercept_curve, peak_level,
+                   profile, qp_bracket, qp_bracket_int, residual, solve_degeneracy_on_family,
+                   solve_p_for_q, trace_curve, validate_family)
 from qposc.degeneracy import _FixedQ, bisect_bracket
 from qposc.families import _family_ps
 
@@ -309,6 +312,52 @@ def test_the_core_entry_points_raise_only_domain_error(x, n, q, p):
     for call in (fock_rep, energy_spectrum, energy_level, qp_bracket_int, qp_bracket):
         for arg in (x, n):
             assert obeys_the_exception_contract(lambda a: call(a, pt), arg), (call, arg)
+
+
+@PROPERTY
+@given(fam=contract_members, x=core_inputs, m1=st.integers(0, 50), m2=st.integers(0, 50),
+       n=st.integers(0, 50), q=st.floats(0.0, 1.0), p=st.floats(0.0, 1.0))
+def test_the_curve_and_family_entry_points_raise_only_domain_error(fam, x, m1, m2, n, q, p):
+    # x as a level, a size, a q or a point coordinate, then the drawn value
+    # in its place; the other arguments are the drawn levels, size and point,
+    # or (1, 3) and (0.5, 0.25) where those are refused, and the point's p
+    # is on the curve where the curve has one at q
+    try:
+        cond = DegeneracyCondition(m1, m2)
+    except DomainError:
+        cond = DegeneracyCondition(1, 3)
+    try:
+        pt = DeformationPoint(q, p)
+    except DomainError:
+        pt = DeformationPoint(0.5, 0.25)
+    on_curve = solve_p_for_q(cond, pt.q)
+    p_on = pt.p if on_curve is None else on_curve
+    roles = [
+        ("level", lambda k: DegeneracyCondition(k, m2), m1),
+        ("level", lambda k: DegeneracyCondition(m1, k), m2),
+        ("level", lambda k: endpoint_q(DegeneracyCondition(0, k)), m2),
+        ("level", lambda k: solve_degeneracy_on_family(fam, DegeneracyCondition(cond.m1, k)),
+         cond.m2),
+        ("level", lambda k: family_energy(fam, k, q), m1),
+        ("size", lambda k: trace_curve(cond, k), n),
+        ("size", lambda k: profile(fam, q, k), n),
+        ("size", lambda k: fock_residuals(fock_rep(k, pt), pt), n),
+        ("q", lambda c: solve_p_for_q(cond, c), q),
+        ("q", lambda c: profile(fam, c, 20), q),
+        ("q", lambda c: peak_level(fam, c), q),
+        ("q", lambda c: family_energy(fam, m2, c), q),
+        ("q coordinate", lambda c: residual(cond, DeformationPoint(c, pt.p)), pt.q),
+        ("p coordinate", lambda c: residual(cond, DeformationPoint(pt.q, c)), pt.p),
+        ("q coordinate", lambda c: implicit_derivative(cond, DeformationPoint(c, p_on)), pt.q),
+        ("p coordinate", lambda c: implicit_derivative(cond, DeformationPoint(pt.q, c)), p_on),
+        ("q coordinate", lambda c: fock_residuals(fock_rep(5, pt), DeformationPoint(c, pt.p)),
+         pt.q),
+        ("p coordinate", lambda c: fock_residuals(fock_rep(5, pt), DeformationPoint(pt.q, c)),
+         pt.p),
+    ]
+    for role, call, drawn in roles:
+        for arg in (x, drawn):
+            assert obeys_the_exception_contract(call, arg), (role, arg, cond, pt)
 
 
 pairs = st.integers(1, 80).flatmap(lambda m2: st.tuples(st.integers(0, m2 - 1), st.just(m2)))
