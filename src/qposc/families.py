@@ -11,15 +11,15 @@ q-oscillator class.  Built-in families:
 
 plus arbitrary user maps via CustomFamily.  The three built-in maps are
 admissible by theorem, so validate_family reports them without evaluating
-them; a subclass or a CustomFamily gets the 10 000-point grid.  The same
-theorem places an exact built-in member's values in [0, 1], so _family_ps,
-the one place where a value is checked (family_p is its one-point case),
-checks only a LogFamily's values next to domain_low, where __init__
-certifies the edge within the slack of 0; any other family's values go
-through C-level range passes.  intercept_curve writes an exact built-in
+them; a subclass or a CustomFamily gets the 10 000-point grid.  The
+built-in members are frozen, as records are, so the parameters that the
+theorem reads are the ones __init__ checked.  _family_ps is the one place
+where a value is checked (family_p is its one-point case), and it checks
+every family's values alike.  intercept_curve writes an exact built-in
 member's map inline, in one fused pass over the grid index, and takes only
-those LogFamily values and the end q = 1 from _family_ps; a twin property
-holds each such pass to the same map as a CustomFamily, bit for bit.
+a LogFamily's values below _BOUNDS_SLACK next to domain_low, and the end
+q = 1, from _family_ps; a twin property holds each such pass to the same
+map as a CustomFamily, bit for bit.
 
 An in-family degeneracy is a member's line crossing a degeneracy curve;
 qposc.degeneracy finds it (_crossing) and its module docstring says how.
@@ -72,27 +72,33 @@ def _parameter(value, name, allow_zero=False):
     return value
 
 
-class PowerFamily(ReductionFamily):
+class _BuiltIn(ReductionFamily):
+    # frozen as records are: the by-theorem shortcuts trust the parameters
+    __setattr__ = __delattr__ = Record.__setattr__
+
+
+class PowerFamily(_BuiltIn):
     def __init__(self, exponent):
-        self.exponent = _parameter(exponent, "power exponent", allow_zero=True)
-        self.label = f"power:{self.exponent:g}"
+        exponent = _parameter(exponent, "power exponent", allow_zero=True)
+        vars(self).update(exponent=exponent, label=f"power:{exponent:g}")
 
     def p_of_qs(self, qs):
         exponent = self.exponent
         return [q ** exponent for q in qs]
 
 
-class LogFamily(ReductionFamily):
+class LogFamily(_BuiltIn):
     def __init__(self, alpha):
-        self.alpha = alpha = _parameter(alpha, "log coefficient")
-        self.label = f"log:{alpha:g}"
-        self.domain_low = math.exp(-1.0 / alpha)  # where p reaches 0
-        if self.domain_low == 0.0:
+        alpha = _parameter(alpha, "log coefficient")
+        domain_low = math.exp(-1.0 / alpha)  # where p reaches 0
+        if domain_low == 0.0:
             raise DomainError(f"log coefficient {alpha} too small: exp(-1/alpha) underflows to 0")
+        vars(self).update(alpha=alpha, label=f"log:{alpha:g}", domain_low=domain_low)
         # f misses 0 here if exp(-1/alpha) is subnormal, or if its rounding
         # (up to 2**-54 near 1) times alpha exceeds the slack: alpha > 18 014.
-        # LogFamily's own f: _family_ps checks a subclass's map, as any subclass's
-        edge = LogFamily.p_of_qs(self, (self.domain_low,))[0]
+        # LogFamily's own f, which validate_family trusts by theorem; a
+        # subclass's map is checked by its values in _family_ps, as every map's
+        edge = LogFamily.p_of_qs(self, (domain_low,))[0]
         if not -_BOUNDS_SLACK < edge < _BOUNDS_SLACK:
             raise DomainError(f"log coefficient {alpha} too {'small' if alpha < 1.0 else 'large'}: "
                               f"f(exp(-1/alpha)) = {edge!r}, not within {_BOUNDS_SLACK:g} of 0")
@@ -102,10 +108,10 @@ class LogFamily(ReductionFamily):
         return [1.0 + alpha * log(q) for q in qs]
 
 
-class ExpFamily(ReductionFamily):
+class ExpFamily(_BuiltIn):
     def __init__(self, alpha):
-        self.alpha = _parameter(alpha, "exp coefficient")
-        self.label = f"exp:{self.alpha:g}"
+        alpha = _parameter(alpha, "exp coefficient")
+        vars(self).update(alpha=alpha, label=f"exp:{alpha:g}")
 
     def p_of_qs(self, qs):
         alpha, exp = self.alpha, math.exp
@@ -162,38 +168,21 @@ def _in_unit(ps):  # C-level passes; min and max can pass over a NaN, sum cannot
     return 0.0 <= min(ps) and max(ps) <= 1.0 and not math.isnan(sum(ps))
 
 
-def _unit_ps(fam, qs, ps):
-    """ps with each p within _BOUNDS_SLACK of [0, 1] clamped onto it; any
-    other miss raises at the first offending q."""
-    ps = [p if 0.0 <= p <= 1.0 else _clamp(p) for p in ps]
-    if not _in_unit(ps):
-        q, p = next((q, p) for q, p in zip(qs, ps) if not 0.0 <= p <= 1.0)
-        raise DomainError(f"{fam.label} leaves the unit interval: f({q}) = {_shown(p)}")
-    return ps
-
-
 def _family_ps(fam, qs):
     """f(q) for each q of a rising grid qs, in one p_of_qs call: the domain
-    is checked at the grid's ends, a p within _BOUNDS_SLACK of [0, 1] is
-    clamped onto it, and any other miss raises at the first offending q.
-
-    Where a value is checked follows the exact class, as in validate_family:
-    an exact PowerFamily or ExpFamily value lies in [0, 1] by its theorem.
-    An exact LogFamily value is <= 1 and errs by under 4e-16 on a rising f,
-    so it dips below 0 only before its first value >= _BOUNDS_SLACK, next to
-    domain_low, where LogFamily.__init__ certifies f: only those are checked.
-    Any other family's values go through the C-level passes of _in_unit."""
+    is checked at the grid's ends, and every family's values go through the
+    C-level passes of _in_unit; only on a miss is a p within _BOUNDS_SLACK
+    of [0, 1] clamped onto it, and any other miss raises at the first
+    offending q."""
     if not (fam.domain_low <= qs[0] and qs[-1] <= 1.0):  # NaN fails too
         q = next(q for q in qs if not (math.isfinite(q) and fam.domain_low <= q <= 1.0))
         raise DomainError(f"q={q} outside family domain [{fam.domain_low}, 1]")
     ps = fam.p_of_qs(qs)
-    kind = type(fam)
-    if kind is LogFamily:
-        lead = next((i for i, p in enumerate(ps) if p >= _BOUNDS_SLACK), len(ps))
-        if lead:
-            ps[:lead] = _unit_ps(fam, qs, ps[:lead])
-    elif kind not in (PowerFamily, ExpFamily) and not _in_unit(ps):
-        ps = _unit_ps(fam, qs, ps)
+    if not _in_unit(ps):
+        ps = [p if 0.0 <= p <= 1.0 else _clamp(p) for p in ps]
+        if not _in_unit(ps):
+            q, p = next((q, p) for q, p in zip(qs, ps) if not 0.0 <= p <= 1.0)
+            raise DomainError(f"{fam.label} leaves the unit interval: f({q}) = {_shown(p)}")
     return ps
 
 

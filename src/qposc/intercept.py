@@ -48,26 +48,25 @@ def intercept_curve(fam, n_samples):
     """Sample the intercept on a uniform q-grid over the family domain:
     asymptotic_intercept(fam, q) bit for bit, or its first error.
 
-    An exact built-in member (type(fam), as in _family_ps and
-    validate_family) takes one fused pass over the grid index below q = 1,
+    An exact built-in member (type(fam), as in validate_family), frozen at
+    construction, takes one fused pass over the grid index below q = 1,
     with its map written inline as the families docstring states it.  By
-    the theorem validate_family states, _family_ps checks none of its values
-    but an exact LogFamily's leading ones below _BOUNDS_SLACK, next to
-    domain_low; those are taken again from _intercepts, clamped and checked,
-    as is the end q = 1.  Any other family, a subclass included, takes
-    _intercepts over the whole grid.  A twin property holds each fused pass
-    to the same map as a CustomFamily, which takes the checked path, bit
-    for bit."""
+    the theorem validate_family states, its values lie in [0, 1], but an
+    exact LogFamily's leading ones below _BOUNDS_SLACK, next to domain_low;
+    those are taken again from _intercepts, clamped and checked, as is the
+    end q = 1.  Any other family, a subclass included, takes _intercepts
+    over the whole grid.  A twin property holds each fused pass to the same
+    map as a CustomFamily, which takes the checked path, bit for bit."""
     last = to_index(n_samples, "need at least 2 samples, below sys.maxsize", low=2) - 1
     lo, end = fam.domain_low, float(last)
     span, kind = 1.0 - lo, type(fam)
     # float indices: int operands convert to the same doubles, at a lower
     # cost; where lo is 0.0, x / end has the bits of lo + span * x / end
     xs = map(float, range(last))
-    if kind is PowerFamily and lo == 0.0:
+    if kind is PowerFamily:
         exponent = fam.exponent
         pairs = [(q := x / end, q + (q ** exponent - 1.0)) for x in xs]
-    elif kind is ExpFamily and lo == 0.0:
+    elif kind is ExpFamily:
         alpha, exp = fam.alpha, math.exp
         pairs = [(q := x / end, q + (exp(alpha * (q - 1.0)) - 1.0)) for x in xs]
     elif kind is LogFamily:

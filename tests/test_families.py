@@ -1,6 +1,8 @@
 """Reduction families: maps, admissibility, in-family degeneracy roots."""
 
+import copy
 import math
+import pickle
 
 import mpmath
 import numpy as np
@@ -401,7 +403,7 @@ class TestBuiltInMeansTheExactClass:
         (PowerFamily, 2, lambda p: p - 0.5, 0.0), (PowerFamily, 2, lambda p: 1.5 * p, 1.0),
         (LogFamily, 2.0, lambda p: 1.5 * p, 1.0)])
     def test_a_subclass_that_leaves_the_unit_interval_is_refused(self, base, value, move, q):
-        # the range shortcut of _family_ps goes to the exact class only
+        # _family_ps checks every family's values, a subclass's as any map's
         fam = self.moved(base, value, move)
         message = f"{fam.label} leaves the unit interval: f({q}) = {fam.p_of_q(q)!r}"
         for call in (lambda: family_p(fam, q), lambda: intercept_curve(fam, 2)):
@@ -430,6 +432,63 @@ class TestBuiltInMeansTheExactClass:
         assert family_p(below, lo) == 0.0 and family_p(above, 1.0) == 1.0
         assert intercept_curve(below, 2).samples[0] == (lo, lo - 1.0)
         assert intercept_curve(above, 2).samples[-1] == (1.0, 1.0)
+
+
+class TestFrozenMembers:
+    """A built-in member keeps the parameters its constructor checked, which
+    validate_family and intercept_curve's fused pass read by theorem; its
+    attributes are refused as a record's fields are."""
+
+    @pytest.mark.parametrize("cls, name", [
+        (cls, name) for cls, parameter in
+        [(PowerFamily, "exponent"), (LogFamily, "alpha"), (ExpFamily, "alpha")]
+        for name in (parameter, "label", "domain_low")])
+    def test_attributes_cannot_be_set_or_deleted(self, cls, name):
+        fam = cls(2.0)
+        before = dict(vars(fam))
+        message = f"{cls.__name__} is frozen: cannot set or delete {name!r}"
+        with pytest.raises(AttributeError) as exc:
+            setattr(fam, name, 0.5)
+        assert str(exc.value) == message
+        with pytest.raises(AttributeError) as exc:
+            delattr(fam, name)
+        assert str(exc.value) == message
+        assert vars(fam) == before
+
+    @pytest.mark.parametrize("fam, name, value", [
+        (PowerFamily(2.0), "exponent", -1.0), (PowerFamily(2.0), "exponent", math.nan),
+        (ExpFamily(1.0), "alpha", math.inf)], ids=repr)
+    def test_a_parameter_that_breaks_the_theorem_is_refused_at_the_assignment(self, fam,
+                                                                             name, value):
+        # power:-1 would read as admissible and its intercept curve divide
+        # by zero; a NaN exponent or an infinite alpha would give NaN samples
+        with pytest.raises(AttributeError):
+            setattr(fam, name, value)
+        assert validate_family(fam).passed
+        assert intercept_curve(fam, 5).samples[-1] == (1.0, 1.0)
+
+    @pytest.mark.parametrize("cls, value", [(PowerFamily, 0), (PowerFamily, 2.5),
+                                            (LogFamily, 6.05), (LogFamily, 0.0014),
+                                            (ExpFamily, 0.5)])
+    @pytest.mark.parametrize("again", [lambda fam: pickle.loads(pickle.dumps(fam)),
+                                       copy.copy, copy.deepcopy],
+                             ids=["pickle", "copy", "deepcopy"])
+    def test_a_member_equals_hashes_and_copies_as_before(self, cls, value, again):
+        fam = cls(value)
+        twin = again(fam)
+        assert type(twin) is cls and vars(twin) == vars(fam)
+        assert twin == fam == cls(value) and hash(twin) == hash(fam) == hash(cls(value))
+        with pytest.raises(AttributeError):
+            twin.label = "other"
+
+    @pytest.mark.parametrize("base, value", [(PowerFamily, 2.0), (LogFamily, 2.0),
+                                             (ExpFamily, 0.5)])
+    def test_a_subclass_that_overrides_only_its_map_still_builds(self, base, value):
+        fam = TestBuiltInMeansTheExactClass.moved(base, value, lambda p: p * p)
+        assert vars(fam) == vars(base(value)) and fam != base(value)
+        assert family_p(fam, 1.0) == 1.0 and validate_family(fam).passed
+        with pytest.raises(AttributeError, match="Moved is frozen"):
+            fam.label = "other"
 
 
 def mp_log_crossing(alpha, m1, m2):

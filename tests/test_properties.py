@@ -17,25 +17,26 @@ l < ln(1/q_k)/745, and there the solver raises DomainError.
 validate_family reports a built-in member without evaluating it; one test
 checks that report against the grid report of the same map, over the whole
 positive float range of each parameter, and another checks its values,
-which skip the range passes, against the same map as a CustomFamily,
-which takes them; one more holds family_p, asymptotic_intercept and
-intercept_curve to returning, raising DomainError, or raising what
-float() raises for a non-number, another holds DeformationPoint and
-the core entry points fock_rep, energy_spectrum, energy_level,
-qp_bracket_int and qp_bracket to the same, and a third holds
+which intercept_curve's fused pass forms inline, against the same map as a
+CustomFamily, which takes the checked path; one more holds family_p,
+asymptotic_intercept and intercept_curve to returning, raising DomainError,
+or raising what float() raises for a non-number, another holds
+DeformationPoint and the core entry points fock_rep, energy_spectrum,
+energy_level, qp_bracket_int and qp_bracket to the same, and a third holds
 DegeneracyCondition, solve_p_for_q, trace_curve, endpoint_q, residual,
 implicit_derivative, profile, peak_level, family_energy,
-solve_degeneracy_on_family and fock_residuals to it.  Each in-family root
-is a sign change of the exact g(q) = F(q, f(q)), the one that bisecting g
-over the whole bracket finds wherever that sign change is unique, and the
-intercept grid is the grid of integer indices bit for bit.  The last five
-tests check the curve inversion that all of these rest on: every p that
-solve_p_for_q returns is certified by the residual itself, no slope of a
-point in the open square or on an axis that implicit_derivative accepts is
-positive, the residual and the partials of the fixed-q state through which
-every evaluation of F goes are, bit for bit, the correctly rounded exact
-quotients over q's and p's common denominator, and every p-solve's Newton
-start lies in its bracket.
+solve_degeneracy_on_family and fock_residuals to it, and a fourth holds the
+family constructors and validate_family on what they build to it.  Each
+in-family root is a sign change of the exact g(q) = F(q, f(q)), the one
+that bisecting g over the whole bracket finds wherever that sign change is
+unique, and the intercept grid is the grid of integer indices bit for bit.
+The last five tests check the curve inversion that all of these rest on:
+every p that solve_p_for_q returns is certified by the residual itself, no
+slope of a point in the open square or on an axis that implicit_derivative
+accepts is positive, the residual and the partials of the fixed-q state
+through which every evaluation of F goes are, bit for bit, the correctly
+rounded exact quotients over q's and p's common denominator, and every
+p-solve's Newton start lies in its bracket.
 """
 
 import math
@@ -232,8 +233,8 @@ def hex_or_error(call, *args):
 @example(made=(ExpFamily, 0.1653), n=10_001, u=0.5)
 @given(made=built_in_parameters, n=st.integers(2, 300), u=st.floats(0.0, 1.0))
 def test_a_built_in_members_values_are_its_checked_twins(made, n, u):
-    # the twin is the same map as a CustomFamily, whose values the C-level
-    # passes check; the exact class skips them by theorem
+    # the twin is the same map as a CustomFamily, which takes the checked
+    # path; the exact class's intercept comes from the fused pass
     maker, value = made
     try:
         fam = maker(value)
@@ -358,6 +359,26 @@ def test_the_curve_and_family_entry_points_raise_only_domain_error(fam, x, m1, m
     for role, call, drawn in roles:
         for arg in (x, drawn):
             assert obeys_the_exception_contract(call, arg), (role, arg, cond, pt)
+
+
+# LogFamily refuses a < 1.342e-3, where exp(-1/a) underflows to 0, and
+# a member whose f misses 0 at its edge: some below 1.381e-3, where that
+# edge is subnormal, and some above 18 014, where it rounds too far
+log_edges = [1e-3, 1.34e-3, 1.345e-3, 1.4e-3, 18_026.97, 18_026.970007450036]
+
+
+@PROPERTY
+@given(x=core_inputs | st.sampled_from([1e308, *log_edges]), ulps=st.integers(-3, 3))
+def test_the_family_constructors_raise_only_domain_error(x, ulps):
+    # x, or for a float its ulps-th float neighbour, as each built-in's
+    # parameter and as a CustomFamily's domain_low; then the member's report
+    if type(x) is float:
+        for _ in range(abs(ulps)):
+            x = math.nextafter(x, math.copysign(math.inf, ulps))
+    makers = (PowerFamily, LogFamily, ExpFamily,
+              lambda low: CustomFamily(lambda q: q, "diagonal", low))
+    for make in makers:
+        assert obeys_the_exception_contract(lambda a: validate_family(make(a)), x), (make, x)
 
 
 pairs = st.integers(1, 80).flatmap(lambda m2: st.tuples(st.integers(0, m2 - 1), st.just(m2)))
